@@ -17,6 +17,10 @@ using Clock = std::chrono::steady_clock;
 /// Stream tag for the client's draws ("pbcl").
 constexpr std::uint64_t kClientStream = 0x7062636cULL;
 
+/// A gap this long between two clock reads of the spin-wait is a host
+/// stall: one pass of the loop takes a few tens of nanoseconds.
+constexpr std::int64_t kStallNs = 1000;
+
 std::int64_t ns_since(Clock::time_point t0) noexcept {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
       .count();
@@ -135,6 +139,7 @@ ProbeSummary OpenLoopClient::probe(double rate_qps, double seconds,
   Query q;
   draw(q);
   std::size_t n = 0;
+  stalls_.reset();
   const auto t0 = Clock::now();
   double due_ns = rng_.exponential(1.0) * mean_gap_ns;
   while (due_ns < end_ns) {
@@ -142,16 +147,21 @@ ProbeSummary OpenLoopClient::probe(double rate_qps, double seconds,
       s.overflow = true;  // a rate beyond any this benchmark searches
       break;
     }
-    std::int64_t issue_ns = 0;
-    do issue_ns = ns_since(t0);
-    while (static_cast<double>(issue_ns) < due_ns);
+    std::int64_t issue_ns = ns_since(t0);
+    for (std::int64_t prev = issue_ns; static_cast<double>(issue_ns) < due_ns;
+         prev = issue_ns) {
+      issue_ns = ns_since(t0);
+      if (issue_ns - prev > kStallNs)
+        stalls_.record(static_cast<double>(prev), static_cast<double>(issue_ns));
+    }
     // A client that fell behind stops at the window's end instead of
     // draining the arrivals it owes; its lateness already shows the backlog.
     if (static_cast<double>(issue_ns) >= end_ns) break;
     const bool answered = execute(q);
     const std::int64_t done_ns = ns_since(t0);
 
-    latency_us_[n] = (static_cast<double>(done_ns) - due_ns) / 1e3;
+    const double stalled_ns = stalls_.overlap(due_ns, static_cast<double>(issue_ns));
+    latency_us_[n] = (static_cast<double>(done_ns) - due_ns - stalled_ns) / 1e3;
     late_us_[n] = (static_cast<double>(issue_ns) - due_ns) / 1e3;
     service_us_[n] = static_cast<double>(done_ns - issue_ns) / 1e3;
     kind_[n] = static_cast<std::uint8_t>(q.kind);
@@ -170,6 +180,8 @@ ProbeSummary OpenLoopClient::probe(double rate_qps, double seconds,
   s.wall_s = static_cast<double>(ns_since(t0)) / 1e9;
   s.issued = n;
   s.answered = n - s.empty;
+  s.stalls = stalls_.count();
+  s.stalled_s = stalls_.total() / 1e9;
   if (n == 0) {
     s.aborted = true;
     return s;

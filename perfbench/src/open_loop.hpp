@@ -4,8 +4,11 @@
 // the offered rate, independent of when earlier queries finish; the client
 // SPINS to each due time rather than sleeping (a sleep_until wake-up is
 // tens of microseconds late, which would swamp a 0.2 us distance query),
-// and every latency is measured from the due time, so a stall is charged to
-// every query it delays. How late the client itself issued is recorded too.
+// and every latency is measured from the due time, so waiting behind an
+// earlier query is charged to every query it delays. Time the host took the
+// vCPU away during the spin (StallLog in stats.hpp) is not charged: it is
+// the host's, not the program's. How late the client itself issued is
+// recorded too, stalls included.
 //
 // Operands are drawn only from nodes that the client's own SnapshotView
 // shows as placed, so every query has an answer; an empty answer is a
@@ -21,14 +24,15 @@
 #include "estimate/snapshot.hpp"
 #include "serve/coordinate_service.hpp"
 #include "serve/load_generator.hpp"
+#include "stats.hpp"
 
 namespace pb {
 
 enum QueryKind : int { kDistance = 0, kNearest = 1, kCentroid = 2, kKinds = 3 };
 
-/// Percentiles of one probe. Latencies run from the due time to the answer;
-/// service times from the actual issue to the answer. A kind without
-/// samples reports NaN.
+/// Percentiles of one probe. Latencies run from the due time to the answer,
+/// less the host stalls seen while waiting; service times from the actual
+/// issue to the answer. A kind without samples reports NaN.
 struct ProbeSummary {
   double rate_qps = 0.0;
   double wall_s = 0.0;
@@ -45,6 +49,8 @@ struct ProbeSummary {
   double late_p99_us = 0.0;        // issue - due
   double late_tail_p50_us = 0.0;   // issue - due, median of the last tenth
   double service_busy_s = 0.0;     // sum of service times
+  std::uint64_t stalls = 0;        // host stalls seen in the spin-wait
+  double stalled_s = 0.0;          // their total length
 };
 
 class OpenLoopClient {
@@ -67,11 +73,6 @@ class OpenLoopClient {
   /// backlog). Stops early, marked aborted, when `abort` is raised.
   ProbeSummary probe(double rate_qps, double seconds, bool detail,
                      const std::atomic<bool>* abort);
-
-  /// Due-to-answer latencies (us) of every query of the last probe.
-  [[nodiscard]] const double* last_latencies_us() const noexcept {
-    return latency_us_.data();
-  }
 
   /// The client's own SnapshotView refreshes: count, total seconds inside
   /// refresh(), and the view's full-rebuild / delta counters summed over
@@ -103,6 +104,7 @@ class OpenLoopClient {
   std::uint64_t seen_version_ = 0;
   std::vector<nc::NodeId> placed_;
   std::vector<nc::serve::CoordinateService::Neighbor> neighbors_;
+  StallLog stalls_;
 
   std::uint64_t refreshes_ = 0;
   double refresh_s_ = 0.0;

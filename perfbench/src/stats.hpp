@@ -1,5 +1,5 @@
-// The benchmark's own arithmetic: percentiles, the max-rate search and the
-// self time of traced spans. Kept free of the library so the self-test
+// The benchmark's own arithmetic: percentiles, the max-rate search, host
+// stall accounting and the self time of traced spans. Kept free of the library so the self-test
 // (tests/arith_test.cpp) checks exactly what the harness reports.
 #pragma once
 
@@ -9,6 +9,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace pb {
@@ -82,7 +83,7 @@ class RateSearch {
 };
 
 /// Where a p99-versus-rate curve crosses `limit`: `rates` ascending, `p99s`
-/// the p99 measured at each (+infinity where the backlog grew). Walks up
+/// the p99 measured at each (+infinity where none was). Walks up
 /// from the lowest rate while the p99 stays within the limit, then
 /// interpolates the crossing between the last passing rate and the first
 /// failing one, linearly in log(rate) and log(p99) (near saturation the
@@ -102,6 +103,56 @@ inline double crossing_rate(const std::vector<double>& rates,
   }
   return rates.back();
 }
+
+/// Host stalls seen by the open-loop client: gaps between two consecutive
+/// clock reads of its spin-wait to a due time. That loop runs nothing but
+/// the clock, so such a gap is time the host took the vCPU away (a shared
+/// VM loses it a few hundred times a second, for 10-50 us each, and how
+/// long varies with the neighbours' load). A stall delays every query due
+/// during it, not only the one being waited for, so each query is charged
+/// its latency minus the stalled part of [due, issue). What remains is
+/// service time and waiting behind earlier queries: the program's part.
+/// Stalls that hit while a query executes are not seen and stay charged.
+class StallLog {
+ public:
+  /// A gap from `start` to `end` (same clock as the due times).
+  void record(double start, double end) {
+    if (!(end > start)) throw std::invalid_argument("stall must end after it starts");
+    if (!gaps_.empty() && start < gaps_.back().second)
+      throw std::invalid_argument("stalls must be recorded in time order");
+    gaps_.emplace_back(start, end);
+    total_ += end - start;
+    ++count_;
+  }
+
+  /// Stalled time inside [due, issue). Due times never decrease, so stalls
+  /// that end by `due` are forgotten.
+  double overlap(double due, double issue) {
+    std::size_t drop = 0;
+    while (drop < gaps_.size() && gaps_[drop].second <= due) ++drop;
+    gaps_.erase(gaps_.begin(), gaps_.begin() + static_cast<std::ptrdiff_t>(drop));
+    double sum = 0.0;
+    for (const auto& [s, e] : gaps_) {
+      if (s >= issue) break;
+      sum += std::min(e, issue) - std::max(s, due);
+    }
+    return sum;
+  }
+
+  /// Forgets everything (a new probe, a new clock origin).
+  void reset() noexcept {
+    gaps_.clear();
+    total_ = 0.0;
+    count_ = 0;
+  }
+  [[nodiscard]] double total() const noexcept { return total_; }
+  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
+
+ private:
+  std::vector<std::pair<double, double>> gaps_;  // not yet forgotten
+  double total_ = 0.0;
+  std::uint64_t count_ = 0;
+};
 
 /// One traced interval. A span with calls > 1 aggregates many short calls
 /// of one kind under one parent (a per-call span for every trace record

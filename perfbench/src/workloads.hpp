@@ -23,10 +23,10 @@ struct WorkloadDef {
   bool concurrent_serve;    // queries run while the engine runs
   bool verify_one_shard;    // gate: a one-shard round must match
   // Serving probes (concurrent on serve-1k, on the final embedding elsewhere).
-  // The rate query_p99_us is taken at: about a quarter of capacity, where
-  // waiting behind nearest-k scans (service time) sets the p99. At a few
-  // tens of thousands of qps the p99 sits where the vCPU's ~250 short
-  // stalls a second put it, and flips with their rate.
+  // The rate the fixed windows (the p50s and query_p99_us) are taken at:
+  // a few percent of capacity, mostly idle, so the p99 lands inside the
+  // nearest-k scans' service times (8% of the mix) and the host stalls
+  // the client cannot see (those during a query) stay far below 1%.
   double fixed_rate_qps;
   double p99_limit_us;      // the limit max_qps_p99 is searched against
   double search_hi_qps;     // a rate that always fails the limit

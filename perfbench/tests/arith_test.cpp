@@ -1,6 +1,6 @@
 // Self-test of the benchmark's own arithmetic: percentiles, the max-rate
-// search and span self time. perfbench/run.py runs it after every build and
-// refuses to measure if it fails. Exit code 0 when every check passes.
+// search, host stall accounting and span self time. perfbench/run.py runs it
+// after every build and refuses to measure if it fails. Exit code 0 when every check passes.
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -127,6 +127,38 @@ void test_crossing_rate() {
         "the first failing rate ends the walk");
 }
 
+void test_stall_log() {
+  pb::StallLog log;
+  check(log.overlap(0.0, 5.0) == 0.0, "no stalls, nothing to charge");
+  // The client spins to a due time of 10 and loses the vCPU over [8, 40].
+  log.record(8.0, 40.0);
+  // The query it waited for: only the part after its due time counts.
+  check(near(log.overlap(10.0, 40.0), 30.0), "stall straddling the due time");
+  // A query due inside the stall, issued at 45 behind the first one.
+  check(near(log.overlap(25.0, 45.0), 15.0), "query due during the stall");
+  // Due after the stall ended: nothing, and the stall is forgotten.
+  check(log.overlap(41.0, 50.0) == 0.0, "query due after the stall");
+  // Two stalls inside one query's wait both count.
+  log.record(60.0, 62.0);
+  log.record(70.0, 75.0);
+  check(near(log.overlap(55.0, 80.0), 7.0), "two stalls in one wait");
+  // A stall after the issue is not charged to the query.
+  log.record(90.0, 95.0);
+  check(near(log.overlap(71.0, 85.0), 4.0), "stalls after the issue are not charged");
+  check(near(log.total(), 32.0 + 2.0 + 5.0 + 5.0), "total stalled time");
+  check(log.count() == 4, "stall count");
+  bool threw = false;
+  try {
+    log.record(93.0, 99.0);
+  } catch (const std::invalid_argument&) {
+    threw = true;
+  }
+  check(threw, "stalls out of order throw");
+  log.reset();
+  check(log.count() == 0 && log.total() == 0.0, "reset forgets the stalls");
+  check(log.overlap(0.0, 100.0) == 0.0, "reset forgets the gaps");
+}
+
 void test_self_time() {
   // root [0, 10] > a [1, 4] > a1 [2, 3]; root > b: 1000 calls, 2.5 s busy.
   std::vector<pb::Span> spans = {
@@ -156,6 +188,7 @@ int main() {
   test_percentile();
   test_rate_search();
   test_crossing_rate();
+  test_stall_log();
   test_self_time();
   if (failures == 0) std::printf("perfbench self-test: all checks passed\n");
   return failures == 0 ? 0 : 1;
