@@ -15,6 +15,12 @@ bool looks_like_flag(const std::string& s) {
   return s.size() > 2 && s[0] == '-' && s[1] == '-';
 }
 
+[[noreturn]] void exit_with_usage(const std::string& message,
+                                  const std::string& usage) {
+  std::cerr << message << '\n' << usage << '\n';
+  std::exit(2);
+}
+
 }  // namespace
 
 Flags::Flags(int argc, const char* const* argv) {
@@ -48,7 +54,8 @@ double Flags::get_double(const std::string& name, double default_value) const {
   if (it == values_.end()) return default_value;
   char* end = nullptr;
   const double v = std::strtod(it->second.c_str(), &end);
-  NC_CHECK_MSG(end != nullptr && *end == '\0', "bad double for --" + name);
+  if (it->second.empty() || *end != '\0')
+    bad_value("bad double for --" + name + ": '" + it->second + "'");
   return v;
 }
 
@@ -57,7 +64,8 @@ std::int64_t Flags::get_int(const std::string& name, std::int64_t default_value)
   if (it == values_.end()) return default_value;
   char* end = nullptr;
   const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  NC_CHECK_MSG(end != nullptr && *end == '\0', "bad integer for --" + name);
+  if (it->second.empty() || *end != '\0')
+    bad_value("bad integer for --" + name + ": '" + it->second + "'");
   return v;
 }
 
@@ -67,8 +75,7 @@ bool Flags::get_bool(const std::string& name, bool default_value) const {
   const std::string& v = it->second;
   if (v == "true" || v == "1") return true;
   if (v == "false" || v == "0") return false;
-  NC_CHECK_MSG(false, "bad boolean for --" + name);
-  return default_value;
+  bad_value("bad boolean for --" + name + ": '" + v + "'");
 }
 
 std::vector<double> Flags::get_double_list(
@@ -81,8 +88,8 @@ std::vector<double> Flags::get_double_list(
   while (std::getline(ss, item, ',')) {
     char* end = nullptr;
     const double v = std::strtod(item.c_str(), &end);
-    NC_CHECK_MSG(end != nullptr && *end == '\0' && !item.empty(),
-                 "bad list element for --" + name);
+    if (item.empty() || *end != '\0')
+      bad_value("bad list element for --" + name + ": '" + item + "'");
     out.push_back(v);
   }
   return out;
@@ -113,16 +120,22 @@ std::string Flags::usage(const std::string& program,
   return out;
 }
 
+void Flags::bad_value(const std::string& message) const {
+  if (!usage_.empty()) exit_with_usage(message, usage_);
+  throw CheckError(message);
+}
+
 Flags Flags::parse_or_exit(int argc, const char* const* argv,
                            const std::vector<std::string>& allowed) {
-  const std::string program = argc >= 1 ? argv[0] : "prog";
+  const std::string usage_line =
+      usage(argc >= 1 ? argv[0] : "prog", allowed);
   try {
     Flags flags(argc, argv);
     flags.check_known(allowed);
+    flags.usage_ = usage_line;
     return flags;
   } catch (const CheckError& e) {
-    std::cerr << e.what() << '\n' << usage(program, allowed) << '\n';
-    std::exit(2);
+    exit_with_usage(e.what(), usage_line);
   }
 }
 

@@ -4,10 +4,11 @@
 // Unrecognized positional arguments are an error: bench binaries take flags
 // only, so typos fail loudly instead of silently running the default workload.
 // Binaries that declare their flag vocabulary up front should use
-// parse_or_exit(), which turns bad positional arguments and unknown --flags
-// into a usage message on stderr plus exit(2) instead of an uncaught throw.
-// Value TYPE errors (--nodes=abc) surface later, at the get_int/get_double
-// call, and still throw nc::CheckError.
+// parse_or_exit(), which turns bad positional arguments, unknown --flags and
+// malformed values into a message plus usage line on stderr and exit(2)
+// instead of an uncaught throw. Value TYPE errors (--nodes=abc) surface at
+// the get_int/get_double call: flags from parse_or_exit exit 2 there, flags
+// built directly throw nc::CheckError.
 #pragma once
 
 #include <cstdint>
@@ -52,13 +53,20 @@ class Flags {
 
   /// Parses argv and validates every flag against `allowed`. On malformed
   /// input (e.g. a bare positional argument) or an unknown flag, prints the
-  /// error plus a usage message to stderr and exits with status 2.
+  /// error plus a usage message to stderr and exits with status 2. The
+  /// returned flags report a malformed value the same way when it is read.
   [[nodiscard]] static Flags parse_or_exit(int argc, const char* const* argv,
                                            const std::vector<std::string>& allowed);
 
  private:
+  /// Rejects a malformed value: exits 2 with the usage line when built by
+  /// parse_or_exit, throws nc::CheckError otherwise.
+  [[noreturn]] void bad_value(const std::string& message) const;
+
   std::string program_;
   std::map<std::string, std::string> values_;
+  /// Usage line for bad_value; empty unless built by parse_or_exit.
+  std::string usage_;
 };
 
 }  // namespace nc

@@ -1,21 +1,29 @@
-// ShardLinkStore: a shard's directed-link state, dense or sparse by size.
+// ShardLinkStore: per-link state over a rows x cols index space, flat or
+// sparse by size.
 //
-// A shard indexes per-link stochastic state by (src - first_owned, dst) —
-// a rows x cols logical matrix of rows = owned nodes, cols = n. The dense
-// form (flat array, lazily paged past the eager limit — PagedStore) is
-// unbeatable at bench-tier sizes, but page granularity defeats it at
-// large n: one src row of 100k slots spans ~12 pages of 8192 slots, and a
-// node's ~512 neighbor targets land on nearly all of them, so a 100k-node
-// online run would materialize close to the full O(n^2/W) array anyway
-// (~hundreds of GB). Above `sparse_slot_limit` logical slots the store
-// therefore switches to a per-row CompactSlotIndex (dst -> slab slot) over
-// one shared slab, making memory O(links actually touched) with a
-// two-cache-probe lookup.
+// Link state is indexed by (row, col): a shard's directed links by
+// (src - first_owned, dst), the IDMS delay matrix by (observer, target).
+// The logical matrix is O(rows * cols) — O(n^2/W) per shard — but a run
+// only ever touches a node's contacts, bounded by its NeighborSet capacity
+// (default 512) or by the pairs it actually measured. The store keeps two
+// layouts behind one index API:
 //
-// Both layouts hand out value-initialized state on first touch, so the
-// modes are observationally identical — tests/sim/link_store_test.cpp pins
-// slot-level equivalence and the engine bit-identity suite runs a forced-
-// sparse engine against the dense one.
+//  * flat   — one value-initialized vector, a single index on the hot path.
+//    Used at or below `sparse_slot_limit` logical slots (default 32M: the
+//    1k and 4k bench tiers at any shard count).
+//  * sparse — a per-row CompactSlotIndex (col -> slab slot) over one shared
+//    slab, so memory is O(links actually touched) with a two-cache-probe
+//    lookup. Used above the limit, and wherever a caller passes 0: the
+//    IDMS matrix always, and the full-height (rows == n) stores the engine
+//    builds under dynamic ownership.
+//
+// Lazily paging the flat array would not bound memory: contacts scatter
+// uniformly over a row, and a row shorter than a page touches every page.
+//
+// Both layouts hand out value-initialized state on first touch, so they are
+// observationally identical — tests/common/link_store_test.cpp pins the
+// slot-level contract and the engine bit-identity suites run full-height
+// sparse stores against flat ones.
 //
 // Not thread-safe; every store is owned by exactly one shard. References
 // returned by at() in sparse mode are invalidated by the next first-touch
@@ -32,24 +40,21 @@
 
 #include "common/check.hpp"
 #include "common/compact_index.hpp"
-#include "common/paged_store.hpp"
 
 namespace nc {
 
-/// Dense (paged) up to 64M logical slots per shard: the 4k bench tier
-/// (16.8M directed slots at W=1) keeps its flat array, n >= 10k at W=1
-/// goes sparse. 64M slots of DirLink-sized state is the break-even point
-/// where per-row index overhead beats page-granularity amplification.
+/// Flat up to 32M logical slots: the 4k-node bench tier (16.8M directed
+/// slots at W=1) keeps its flat array; anything larger goes sparse.
 inline constexpr std::size_t kShardLinkDefaultSparseSlotLimit =
-    std::size_t{64} << 20;
+    std::size_t{32} << 20;
 
 template <typename T>
 class ShardLinkStore {
  public:
   ShardLinkStore() = default;
 
+  /// `sparse_slot_limit = 0` forces the sparse layout at any size.
   ShardLinkStore(std::size_t rows, std::size_t cols,
-                 std::size_t eager_slot_limit = kPagedStoreDefaultEagerSlotLimit,
                  std::size_t sparse_slot_limit = kShardLinkDefaultSparseSlotLimit)
       : rows_(rows),
         cols_(cols),
@@ -59,14 +64,14 @@ class ShardLinkStore {
     if (sparse_) {
       row_index_.resize(rows_);
     } else {
-      dense_ = PagedStore<T>(rows_ * cols_, eager_slot_limit);
+      flat_.resize(rows_ * cols_);
     }
   }
 
   /// The state at (row, col), created value-initialized on first touch.
   [[nodiscard]] T& at(std::size_t row, std::size_t col) {
     NC_ASSERT(row < rows_ && col < cols_);
-    if (!sparse_) return dense_.at(row * cols_ + col);
+    if (!sparse_) return flat_[row * cols_ + col];
     CompactSlotIndex& index = row_index_[row];
     if (const auto slot = index.find(static_cast<std::uint32_t>(col));
         slot.has_value())
@@ -100,12 +105,11 @@ class ShardLinkStore {
     NC_ASSERT(row < rows_);
     const std::size_t start = out.size();
     if (!sparse_) {
+      T* cells = flat_.data() + row * cols_;
       for (std::size_t col = 0; col < cols_; ++col) {
-        T* slot = dense_.try_at(row * cols_ + col);
-        if (slot == nullptr) continue;
-        if (live(*slot))
-          out.emplace_back(static_cast<std::uint32_t>(col), std::move(*slot));
-        *slot = T();
+        if (live(cells[col]))
+          out.emplace_back(static_cast<std::uint32_t>(col), std::move(cells[col]));
+        cells[col] = T();
       }
     } else {
       CompactSlotIndex& index = row_index_[row];
@@ -128,25 +132,37 @@ class ShardLinkStore {
   }
 
   /// Read-only probe: the slot's address, or nullptr when never touched in
-  /// sparse mode / page never materialized in dense mode.
+  /// sparse mode (every flat slot exists).
   [[nodiscard]] const T* try_at(std::size_t row, std::size_t col) const noexcept {
     NC_ASSERT(row < rows_ && col < cols_);
-    if (!sparse_) return dense_.try_at(row * cols_ + col);
+    if (!sparse_) return &flat_[row * cols_ + col];
     const auto slot = row_index_[row].find(static_cast<std::uint32_t>(col));
     return slot.has_value() ? &slab_[*slot] : nullptr;
+  }
+
+  /// Visits every slot try_at would return, as fn(state), in no particular
+  /// order: each touched slot in sparse mode, every slot in flat mode.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    if (!sparse_) {
+      for (const T& state : flat_) fn(state);
+      return;
+    }
+    for (const CompactSlotIndex& index : row_index_)
+      index.for_each([&](std::uint32_t, std::uint32_t slot) { fn(slab_[slot]); });
   }
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
   [[nodiscard]] bool sparse() const noexcept { return sparse_; }
-  /// Links materialized so far (sparse mode; dense mode has no per-slot
+  /// Links materialized so far (sparse mode; flat mode has no per-slot
   /// touch record, so this reports 0 there).
   [[nodiscard]] std::size_t touched() const noexcept { return slab_.size(); }
 
-  /// Heap bytes held right now: the dense store's accounting in dense mode;
-  /// slab + all per-row index tables in sparse mode.
+  /// Heap bytes held right now: the flat array in flat mode; slab + all
+  /// per-row index tables in sparse mode.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    if (!sparse_) return dense_.memory_bytes();
+    if (!sparse_) return flat_.capacity() * sizeof(T);
     std::size_t bytes = slab_.capacity() * sizeof(T) +
                         free_slots_.capacity() * sizeof(std::uint32_t) +
                         row_index_.capacity() * sizeof(CompactSlotIndex);
@@ -158,7 +174,7 @@ class ShardLinkStore {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   bool sparse_ = false;
-  PagedStore<T> dense_;
+  std::vector<T> flat_;
   std::vector<CompactSlotIndex> row_index_;
   std::vector<T> slab_;
   /// Slab slots released by extract_row, reused before the slab grows.

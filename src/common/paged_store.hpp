@@ -1,12 +1,11 @@
 // Lazily-paged dense storage for O(n^2) link-state arrays.
 //
-// The simulators index per-link stochastic state by dense arithmetic
-// (triangular index for LatencyNetwork's undirected links,
-// (src - first_owned) * n + dst for a shard's directed links). Dense arrays
-// killed the hash maps on the per-event hot path, but they are eager O(n^2)
-// allocations: ~1 GB at n = 4k and ~6 GB at 10k for the serial network,
-// O(n^2/W) per shard in the sharded engine. Large deployments touch only a
-// sparse subset of that index space — a node's NeighborSet caps its contact
+// LatencyNetwork indexes its undirected per-link stochastic state by a
+// triangular index (a shard's directed links and the IDMS matrix use
+// common/link_store.hpp instead). Dense arrays killed the hash maps on the
+// per-event hot path, but they are eager O(n^2) allocations: ~1 GB at
+// n = 4k and ~6 GB at 10k. Large deployments touch only a sparse subset of
+// that index space — a node's NeighborSet caps its contact
 // set at `neighbor_capacity` (default 512), and a bounded-duration replay
 // reaches at most duration/interval round-robin partners per node — so most
 // slots are never written.
@@ -22,11 +21,11 @@
 //
 // Slots are value-initialized in both modes (a fresh page reads exactly like
 // a fresh vector element), so the two modes are observationally identical —
-// tests/common/paged_store_test.cpp pins the equivalence, and the engines'
-// bit-identity suites run both modes against each other.
+// tests/common/paged_store_test.cpp pins the equivalence, and
+// link_model_test runs LatencyNetwork in both modes against each other.
 //
-// Not thread-safe; every store is owned by exactly one shard or one serial
-// network, matching the engines' owner-only-writes discipline.
+// Not thread-safe; every store is owned by exactly one network, matching the
+// engines' owner-only-writes discipline.
 #pragma once
 
 #include <cstddef>

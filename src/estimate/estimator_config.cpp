@@ -39,7 +39,6 @@ std::unique_ptr<LatencyEstimator> make_estimator(const EstimatorSpec& spec,
       IDMSEstimatorConfig config;
       config.max_age_s = spec.max_age_s;
       config.alpha = spec.idms_alpha;
-      config.eager_slot_limit = spec.idms_eager_slot_limit;
       return std::make_unique<IDMSEstimator>(config, num_nodes, first_owned,
                                              owned_count);
     }

@@ -8,9 +8,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
-#include "common/paged_store.hpp"
 #include "core/node_id.hpp"
 #include "estimate/latency_estimator.hpp"
 
@@ -30,8 +30,6 @@ struct EstimatorSpec {
   double max_age_s = 600.0;
   /// IDMS only: EWMA weight of the newest sample.
   double idms_alpha = 0.3;
-  /// IDMS only: paged-store threshold for the delay matrix.
-  std::size_t idms_eager_slot_limit = kPagedStoreDefaultEagerSlotLimit;
   /// Snapshot backend only: where estimates are read from (non-owning; must
   /// outlive the estimator). Leave null to have the engine wire its own
   /// publisher — the sharded engine fills this in and turns snapshot

@@ -13,10 +13,11 @@
 // processing an observation whose observer is `src`, and every instance is
 // owned by the shard that owns `src` — so cell updates happen in the
 // shard's canonical processing order and the matrix is bit-identical at any
-// shard count. The matrix is indexed (src - first_owned) * n + dst exactly
-// like the engine's directed link arrays, and paged via common/paged_store
-// above the eager slot limit so big deployments pay for sampled pairs, not
-// for n^2/W.
+// shard count. The matrix is indexed (src - first_owned, dst) exactly like
+// the engine's directed link state, on the same store
+// (common/link_store.hpp), always in its sparse layout: memory follows the
+// pairs actually measured at every n, never n^2/W, and a node's state for
+// migration is one extracted row.
 //
 // Staleness + fallback: a cell older than `max_age_s` no longer answers —
 // unlike a coordinate, a point measurement says nothing once the paths have
@@ -30,9 +31,7 @@
 // coordinate state the fallback still needs piggybacked.
 #pragma once
 
-#include <vector>
-
-#include "common/paged_store.hpp"
+#include "common/link_store.hpp"
 #include "estimate/coordinate_estimator.hpp"
 #include "estimate/latency_estimator.hpp"
 
@@ -43,8 +42,6 @@ struct IDMSEstimatorConfig {
   double max_age_s = 600.0;
   /// EWMA weight of the newest sample when refreshing a live cell.
   double alpha = 0.3;
-  /// Paged-store threshold for the matrix (tests shrink it to force paging).
-  std::size_t eager_slot_limit = kPagedStoreDefaultEagerSlotLimit;
 };
 
 class IDMSEstimator final : public LatencyEstimator {
@@ -71,24 +68,20 @@ class IDMSEstimator final : public LatencyEstimator {
 
  private:
   /// One directed measurement; updated_s < 0 marks "never measured" (the
-  /// value a fresh page reads as).
+  /// value a fresh slot reads as). Queries probe with try_at, so only
+  /// measured cells are ever materialized.
   struct Cell {
     double rtt_ms = 0.0;
     double updated_s = -1.0;
   };
 
-  [[nodiscard]] std::size_t cell_index(NodeId src, NodeId dst) const noexcept {
-    return static_cast<std::size_t>(src - first_owned_) *
-               static_cast<std::size_t>(num_nodes_) +
-           static_cast<std::size_t>(dst);
+  [[nodiscard]] std::size_t row_of(NodeId src) const noexcept {
+    return static_cast<std::size_t>(src - first_owned_);
   }
 
   IDMSEstimatorConfig config_;
-  int num_nodes_;
   NodeId first_owned_;
-  PagedStore<Cell> cells_;
-  /// Indices of filled cells, for O(entries) staleness scans.
-  std::vector<std::size_t> filled_;
+  ShardLinkStore<Cell> cells_;
   CoordinateEstimator fallback_;
 
   std::uint64_t observations_ = 0;

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include "common/check.hpp"
 
@@ -75,10 +76,13 @@ TraceReader::TraceReader(const std::string& path) {
 std::optional<TraceRecord> TraceReader::next() {
   if (read_ >= count_) return std::nullopt;
   TraceRecord r;
-  if (!read_pod(in_, r.t_s) || !read_pod(in_, r.src) || !read_pod(in_, r.dst) ||
-      !read_pod(in_, r.rtt_ms)) {
-    return std::nullopt;  // truncated file: stop cleanly
-  }
+  // A file that stops before the header's count would otherwise replay as a
+  // silently shorter run.
+  NC_CHECK_MSG(read_pod(in_, r.t_s) && read_pod(in_, r.src) &&
+                   read_pod(in_, r.dst) && read_pod(in_, r.rtt_ms),
+               "truncated trace: record " + std::to_string(read_) +
+                   " missing, header promises " + std::to_string(count_) +
+                   " records");
   ++read_;
   return r;
 }

@@ -217,21 +217,20 @@ void ShardedEngine::init_shards(int shards, int num_nodes) {
     // all. Static partition: rows cover the shard's contiguous node block.
     // Dynamic ownership breaks the contiguous-block invariant, so the
     // stores span the FULL id space (row == node id; first_owned == 0) and
-    // a migration is a row hand-off between stores; forced paged/sparse so
-    // each shard pays for the rows it actually owns, not n^2.
+    // a migration is a row hand-off between stores. One rule covers that
+    // case: full-height stores are sparse, so each shard pays for the rows
+    // it actually owns, not n^2.
     if (rebalancing_) {
       shard.first_owned = 0;
       if (mode_ == Mode::kOnline)
         shard.links = ShardLinkStore<DirLink>(
             static_cast<std::size_t>(num_nodes),
-            static_cast<std::size_t>(num_nodes), 0,
-            config_.link_sparse_slot_limit);
+            static_cast<std::size_t>(num_nodes), /*sparse_slot_limit=*/0);
     } else if (!shard.owned.empty()) {
       shard.first_owned = shard.owned.front();
       if (mode_ == Mode::kOnline)
         shard.links = ShardLinkStore<DirLink>(
-            shard.owned.size(), static_cast<std::size_t>(num_nodes),
-            config_.link_eager_slot_limit, config_.link_sparse_slot_limit);
+            shard.owned.size(), static_cast<std::size_t>(num_nodes));
     }
 
     std::vector<NodeId> tracked;
@@ -243,13 +242,11 @@ void ShardedEngine::init_shards(int shards, int num_nodes) {
     shard.collector = std::make_unique<MetricsCollector>(
         make_shard_metrics_config(config_, num_nodes, std::move(tracked)));
     // The shard's estimation backend instance, covering exactly its owned
-    // node block (full-height under rebalancing, same as the link store —
-    // forced paged so the owner-partitioned matrix rows cost what they
-    // hold, and a row hand-off lands in untouched pages).
+    // node block (full-height under rebalancing, same as the link store;
+    // the IDMS matrix is always sparse, so its rows cost what they hold).
     if (rebalancing_) {
-      est::EstimatorSpec espec = config_.estimator;
-      espec.idms_eager_slot_limit = 0;
-      shard.estimator = est::make_estimator(espec, num_nodes, 0, num_nodes);
+      shard.estimator = est::make_estimator(config_.estimator, num_nodes, 0,
+                                            num_nodes);
     } else {
       shard.estimator = est::make_estimator(
           config_.estimator, num_nodes, shard.first_owned,

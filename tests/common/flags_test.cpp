@@ -123,6 +123,25 @@ TEST(FlagsDeathTest, ParseOrExitRejectsPositionalWithUsage) {
               ::testing::ExitedWithCode(2), "usage: prog");
 }
 
+// A malformed VALUE is reported where it is read, through the same message
+// + usage + exit(2) path as an unknown flag — not as an uncaught throw.
+TEST(FlagsDeathTest, ParseOrExitRejectsMalformedValueWithUsage) {
+  const char* argv[] = {"prog", "--nodes=abc", "--hours=1h", "--full=maybe",
+                        "--list=1,,2", "--empty="};
+  const Flags f = Flags::parse_or_exit(6, argv,
+                                       {"nodes", "hours", "full", "list", "empty"});
+  EXPECT_EXIT((void)f.get_int("nodes", 0), ::testing::ExitedWithCode(2),
+              "bad integer for --nodes: 'abc'(.|\n)*usage: prog");
+  EXPECT_EXIT((void)f.get_double("hours", 0.0), ::testing::ExitedWithCode(2),
+              "bad double for --hours(.|\n)*usage: prog");
+  EXPECT_EXIT((void)f.get_bool("full", false), ::testing::ExitedWithCode(2),
+              "bad boolean for --full(.|\n)*usage: prog");
+  EXPECT_EXIT((void)f.get_double_list("list", {}), ::testing::ExitedWithCode(2),
+              "bad list element for --list(.|\n)*usage: prog");
+  EXPECT_EXIT((void)f.get_int("empty", 0), ::testing::ExitedWithCode(2),
+              "bad integer for --empty");
+}
+
 TEST(FlagsDeathTest, ParseOrExitAcceptsKnownFlags) {
   const char* argv[] = {"prog", "--nodes=12"};
   const Flags f = Flags::parse_or_exit(2, argv, {"nodes"});

@@ -94,42 +94,65 @@ TEST(IDMSEstimator, RejectsBadConfig) {
   EXPECT_THROW(IDMSEstimator({}, 4, 2, 3), CheckError);  // slice past the end
 }
 
-// Shrinking the eager slot limit forces the matrix into paged mode; answers
-// must not change, and queries for never-measured pairs must not allocate
-// pages (the memory footprint stays flat under a miss storm).
-TEST(IDMSEstimator, PagedModeMatchesEagerModeAndQueriesDoNotAllocate) {
-  const int n = 512;  // 512 * 512 cells: a few dozen matrix pages
-  IDMSEstimatorConfig paged_cfg;
-  paged_cfg.eager_slot_limit = 1;  // everything beyond one slot is paged
-  IDMSEstimator paged(paged_cfg, n, 0, n);
-  IDMSEstimator eager({}, n, 0, n);
+// The matrix is always sparse: at a deployment size whose dense matrix
+// would hold n^2 cells (~40 GB here), memory grows with the pairs actually
+// measured, and queries for never-measured pairs — a miss storm across
+// every row — do not materialize cells.
+TEST(IDMSEstimator, MemoryFollowsObservedPairsAndQueriesDoNotGrowIt) {
+  const int n = 50000;
+  IDMSEstimator est({}, n, 0, n);
+  const std::uint64_t empty = est.stats().memory_bytes;
 
-  // All observers in the first 8 rows: the measured cells concentrate in
-  // one corner of the matrix, the regime paging exists for.
-  for (int i = 0; i < 400; ++i) {
-    const auto src = static_cast<NodeId>(i % 8);
-    const auto dst = static_cast<NodeId>((i * 13 + 9) % n);
-    if (src == dst) continue;
-    const double rtt = 20.0 + static_cast<double>(i % 50);
-    paged.on_observation(obs(src, dst, static_cast<double>(i), rtt));
-    eager.on_observation(obs(src, dst, static_cast<double>(i), rtt));
-  }
-  for (NodeId a = 0; a < 16; ++a)
-    for (NodeId b = 0; b < n; ++b)
-      ASSERT_EQ(paged.estimate_rtt(a, b, 500.0), eager.estimate_rtt(a, b, 500.0))
-          << "pair (" << a << ", " << b << ")";
-  EXPECT_EQ(paged.stats().entries, eager.stats().entries);
+  const auto observe_pairs = [&](int from, int to) {
+    for (int i = from; i < to; ++i) {
+      const auto src = static_cast<NodeId>((i * 7919) % n);
+      const auto dst = static_cast<NodeId>((i * 104729 + 1) % n);
+      est.on_observation(obs(src, dst, static_cast<double>(i), 20.0 + i % 50));
+    }
+  };
+  observe_pairs(0, 100);
+  ASSERT_EQ(est.stats().entries, 100u);
+  const std::uint64_t hundred = est.stats().memory_bytes - empty;
+  observe_pairs(100, 1000);
+  ASSERT_EQ(est.stats().entries, 1000u);
+  const std::uint64_t thousand = est.stats().memory_bytes - empty;
 
-  // Only the touched corner is resident in paged mode; eager mode paid for
-  // the whole matrix upfront.
-  EXPECT_LT(paged.stats().memory_bytes, eager.stats().memory_bytes);
+  // Proportional to observed pairs: a bounded per-pair cost (cell + index
+  // entry, with growth slack), and 10x the pairs cost more than the first
+  // hundred but nowhere near the n^2 matrix.
+  EXPECT_GT(thousand, hundred);
+  EXPECT_LE(thousand, 1000u * 256u);
+  EXPECT_LT(est.stats().memory_bytes, std::uint64_t{16} << 20);
 
-  // A miss storm across every row must not materialize pages: queries go
-  // through try_at, so the footprint stays flat.
-  const std::uint64_t before = paged.stats().memory_bytes;
+  // Re-observing measured pairs refreshes cells in place.
+  const std::uint64_t before = est.stats().memory_bytes;
+  observe_pairs(0, 1000);
+  EXPECT_EQ(est.stats().memory_bytes, before);
+
   for (NodeId a = 0; a < n; ++a)
-    (void)paged.estimate_rtt(a, (a + 1) % n, 500.0);
-  EXPECT_EQ(paged.stats().memory_bytes, before);
+    (void)est.estimate_rtt(a, (a + 1) % n, 1000.0);
+  EXPECT_EQ(est.stats().memory_bytes, before);
+  EXPECT_EQ(est.stats().entries, 1000u);
+}
+
+// Ownership migration carries a node's row dst-ascending and leaves the
+// source row empty; the receiving instance answers exactly as before.
+TEST(IDMSEstimator, MigratedRowAnswersIdentically) {
+  IDMSEstimator from({}, 64, 0, 64);
+  IDMSEstimator to({}, 64, 0, 64);
+  for (NodeId dst : {40, 3, 17, 9}) from.on_observation(obs(5, dst, 1.0, 10.0 + dst));
+  from.on_observation(obs(6, 3, 1.0, 99.0));
+
+  const EstimatorNodeState state = from.extract_node_state(5);
+  ASSERT_EQ(state.cells.size(), 4u);
+  for (std::size_t i = 1; i < state.cells.size(); ++i)
+    EXPECT_LT(state.cells[i - 1].dst, state.cells[i].dst);
+  EXPECT_EQ(from.stats().entries, 1u);  // node 6's cell stays
+
+  to.install_node_state(5, state);
+  EXPECT_EQ(to.stats().entries, 4u);
+  for (NodeId dst : {40, 3, 17, 9})
+    EXPECT_EQ(to.estimate_rtt(5, dst, 2.0), 10.0 + dst);
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "common/check.hpp"
 #include "latency/trace_generator.hpp"
@@ -58,6 +60,54 @@ TEST(TraceIo, RejectsGarbageFile) {
     f << "this is not a trace";
   }
   EXPECT_THROW(TraceReader{path}, CheckError);
+}
+
+// A file shorter than its header's record count must fail loudly, naming
+// the missing record, instead of ending the stream early: once mid-record
+// and once cut cleanly at a record boundary.
+TEST(TraceIo, TruncatedTraceFailsLoudly) {
+  const std::string path = temp_path("full.nctr");
+  {
+    TraceWriter w(path, 4);
+    for (int i = 0; i < 10; ++i)
+      w.append({static_cast<double>(i), i % 4, (i + 1) % 4, 10.0f + i});
+  }
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  constexpr std::size_t kHeader = 20;  // magic, version, nodes, u64 count
+  constexpr std::size_t kRecord = 20;  // f64 t, i32 src, i32 dst, f32 rtt
+  ASSERT_EQ(bytes.size(), kHeader + 10 * kRecord);
+
+  const auto read_cut = [&](const std::string& name, std::size_t keep) {
+    const std::string cut = temp_path(name);
+    {
+      std::ofstream out(cut, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(keep));
+    }
+    TraceReader r(cut);
+    EXPECT_EQ(r.record_count(), 10u);
+    std::size_t got = 0;
+    try {
+      while (r.next()) ++got;
+    } catch (const CheckError& e) {
+      return std::pair{got, std::string(e.what())};
+    }
+    return std::pair{got, std::string("no error")};
+  };
+
+  const auto [mid_record, mid_msg] =
+      read_cut("mid-record.nctr", kHeader + 6 * kRecord + 9);
+  EXPECT_EQ(mid_record, 6u);
+  EXPECT_NE(mid_msg.find("record 6"), std::string::npos) << mid_msg;
+  EXPECT_NE(mid_msg.find("10 records"), std::string::npos) << mid_msg;
+
+  const auto [mid_file, file_msg] =
+      read_cut("mid-file.nctr", kHeader + 3 * kRecord);
+  EXPECT_EQ(mid_file, 3u);
+  EXPECT_NE(file_msg.find("record 3"), std::string::npos) << file_msg;
 }
 
 TEST(TraceIo, RejectsMissingFile) {
