@@ -18,16 +18,15 @@
 //   --backend=NAME   estimator backend preset answering RTT queries
 //                    (coordinates, idms, idms-volatile, idms-sticky,
 //                    snapshot)
-//   --partition-trace  replay mode, shards > 1: split the trace by owner
-//                    shard on open and replay one slice per reader
-//                    (bit-identical; default ON — pass --partition-trace=0
-//                    to funnel every record through shard 0's reader)
 //   --rebalance=K    dynamic shard ownership: re-plan the node partition
 //                    every K epochs (0 = static block partition, default)
 //   --rebalance-moves=M  max nodes migrated per rebalance barrier
 //   --full           paper-scale workload (overrides the laptop defaults)
-// Unknown flags and bad positional arguments print a usage message and
-// exit 2 (malformed VALUES like --nodes=abc still abort via nc::CheckError).
+// Replay at --shards > 1 reads the trace through one reader per shard (the
+// trace is split by owner shard on open) unless the run collects oracle
+// metrics; both readers give bit-identical results.
+// Unknown flags, bad positional arguments and malformed values
+// (--nodes=abc) print a message and a usage line and exit 2.
 #pragma once
 
 #include <cstdio>
@@ -50,9 +49,9 @@ namespace ncb {
 inline nc::Flags parse_flags(int argc, const char* const* argv,
                              std::initializer_list<const char*> extra = {}) {
   std::vector<std::string> allowed = {
-      "scenario", "nodes",           "hours",     "seed",
-      "jobs",     "shards",          "backend",   "route-schedule",
-      "full",     "partition-trace", "rebalance", "rebalance-moves"};
+      "scenario", "nodes",          "hours", "seed",      "jobs",
+      "shards",   "backend",        "full",  "rebalance", "rebalance-moves",
+      "route-schedule"};
   allowed.insert(allowed.end(), extra.begin(), extra.end());
   return nc::Flags::parse_or_exit(argc, argv, allowed);
 }
@@ -114,7 +113,6 @@ inline nc::eval::ScenarioSpec scenario_spec(const nc::Flags& flags,
     std::exit(2);
   }
   nc::eval::apply_backend(spec, backend);
-  spec.partition_replay = flags.get_bool("partition-trace", true);
   spec.rebalance_interval_epochs =
       static_cast<int>(flags.get_int("rebalance", 0));
   spec.rebalance_max_moves = static_cast<int>(

@@ -19,8 +19,9 @@
 //
 // Flags: --scenario (planetlab), --nodes (0 = the full 10k/50k/100k suite,
 //        otherwise one size), --hours (1), --seed (7), --shards (1),
-//        --online (1), --replay (1), --selfcheck (0: also run the
-//        single-reader replay and require bit-identical metrics),
+//        --backend (coordinates; an idms preset puts the delay matrix in
+//        mem_estimator), --online (1), --replay (1), --selfcheck (0: also
+//        run the single-reader replay and require bit-identical metrics),
 //        --trace-dir (/tmp: where generated traces and slices go).
 #include <algorithm>
 #include <chrono>
@@ -32,7 +33,6 @@
 #include "bench_common.hpp"
 #include "latency/trace.hpp"
 #include "latency/trace_generator.hpp"
-#include "sim/replay.hpp"
 #include "sim/sharded_sim.hpp"
 
 namespace {
@@ -74,8 +74,8 @@ void print_row(const char* engine, int nodes, int shards, double wall,
 
 int main(int argc, char** argv) {
   const nc::Flags flags = ncb::parse_flags_exact(
-      argc, argv, {"scenario", "nodes", "hours", "seed", "shards", "online",
-                   "replay", "selfcheck", "trace-dir"});
+      argc, argv, {"scenario", "nodes", "hours", "seed", "shards", "backend",
+                   "online", "replay", "selfcheck", "trace-dir"});
   nc::eval::ScenarioSpec base = ncb::scenario_spec(
       flags, {.nodes = 0, .hours = 1.0, .full_nodes = 0, .full_hours = 1.0,
               .seed = 7, .mode = nc::eval::SimMode::kOnline, .shards = 1});
@@ -131,12 +131,8 @@ int main(int argc, char** argv) {
       nc::eval::ScenarioSpec rspec = base;
       rspec.mode = nc::eval::SimMode::kReplay;
       rspec.workload.num_nodes = n;
-      nc::sim::ReplayConfig rc;
-      rc.client = rspec.client;
-      rc.duration_s = rspec.workload.duration_s;
-      rc.measure_start_s = nc::eval::resolved_measure_start_s(rspec);
-      rc.epoch_s = rspec.workload.ping_interval_s;
-      rc.shards = shards;
+      rspec.shards = shards;
+      const nc::sim::ReplayConfig rc = nc::eval::resolve_replay_config(rspec);
 
       // One-pass generation to disk, then the one-pass splitter. Both are
       // timed outside the replay row: the row scores INGEST + replay, the
@@ -163,25 +159,25 @@ int main(int argc, char** argv) {
         slices.push_back(std::make_unique<nc::lat::TraceReader>(p));
         sources.push_back(slices.back().get());
       }
-      nc::sim::ReplayDriver driver(rc, n);
-      driver.run_partitioned(sources);
+      nc::sim::ShardedEngine engine(rc, n);
+      engine.run_partitioned(sources);
       print_row("replay-large", n, shards, wall_seconds_since(t0),
-                driver.events_processed(),
-                driver.metrics().median_relative_error(),
-                driver.memory_budget());
+                engine.events_processed(),
+                engine.metrics().median_relative_error(),
+                engine.memory_budget());
 
       if (selfcheck) {
         // The partitioned ingest must be bit-identical to the single-reader
         // path on the unsplit trace — the run aborts loudly if not.
         nc::lat::TraceReader whole_reader(whole);
-        nc::sim::ReplayDriver ref(rc, n);
+        nc::sim::ShardedEngine ref(rc, n);
         ref.run(whole_reader);
         NC_CHECK_MSG(
             ref.metrics().median_relative_error() ==
-                    driver.metrics().median_relative_error() &&
+                    engine.metrics().median_relative_error() &&
                 ref.metrics().observation_count() ==
-                    driver.metrics().observation_count() &&
-                ref.events_processed() == driver.events_processed(),
+                    engine.metrics().observation_count() &&
+                ref.events_processed() == engine.events_processed(),
             "partitioned replay diverged from the single reader "
             "(determinism bug)");
         std::printf("  selfcheck: partitioned == single-reader (err, obs, "

@@ -11,7 +11,6 @@
 #include "core/nc_client.hpp"
 #include "core/vivaldi.hpp"
 #include "latency/trace_generator.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/shard_mailbox.hpp"
 #include "stats/energy.hpp"
 #include "stats/p2_quantile.hpp"
@@ -124,23 +123,6 @@ void BM_TraceGeneration(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(gen.next());
 }
 BENCHMARK(BM_TraceGeneration);
-
-void BM_EventQueueScheduleAndPop(benchmark::State& state) {
-  struct P {
-    int x;
-  };
-  sim::EventQueue<P> q;
-  Rng rng(8);
-  double t = 0.0;
-  for (int i = 0; i < 1024; ++i) q.schedule(rng.uniform(0.0, 100.0), P{i});
-  for (auto _ : state) {
-    const auto e = q.pop();
-    benchmark::DoNotOptimize(e);
-    t = e->t;
-    q.schedule(t + rng.uniform(0.0, 10.0), P{0});
-  }
-}
-BENCHMARK(BM_EventQueueScheduleAndPop);
 
 // The sharded engine's epoch rhythm on its calendar queue: one bulk batch
 // of epoch-clamped deliveries, then drain the epoch while re-arming one

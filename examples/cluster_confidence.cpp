@@ -55,7 +55,7 @@ double steady_state_confidence(double margin_ms, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags = Flags::parse_or_exit(argc, argv, {"margin"});
   const double margin = flags.get_double("margin", 3.0);
 
   std::printf("three-node cluster, 10 minutes of 1 Hz sampling:\n");

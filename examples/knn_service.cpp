@@ -25,7 +25,8 @@
 using namespace nc;
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags =
+      Flags::parse_or_exit(argc, argv, {"nodes", "minutes", "k", "seed"});
   const int n = static_cast<int>(flags.get_int("nodes", 120));
   const double duration = 60.0 * flags.get_double("minutes", 30.0);
   const int k = static_cast<int>(flags.get_int("k", 5));

@@ -151,7 +151,8 @@ PlacementRun run(const HeuristicConfig& heuristic, std::uint64_t seed, int n,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags =
+      Flags::parse_or_exit(argc, argv, {"nodes", "minutes", "seed"});
   const int n = static_cast<int>(flags.get_int("nodes", 80));
   const double duration = 60.0 * flags.get_double("minutes", 45.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 21));

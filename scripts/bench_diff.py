@@ -10,8 +10,10 @@ Two kinds of entries are compared, matched by name across the files:
   * engine kernel rates (the "event_core" and — since PR 7 —
     "large_scale" sections, or PR 3's "shard_scaling" section, whose rows
     are normalized to the same keys): events_per_s, higher is better. Rows
-    are keyed by (engine, nodes, shards), so the serial facade, sharded
-    online, sharded replay and large-scale rows are tracked independently;
+    are keyed by (engine, nodes, shards), so sharded online, sharded replay
+    and large-scale rows are tracked independently (older records also
+    carry "serial" rows from a since-deleted facade; with no counterpart
+    in newer records they are reported as only-in-one-file);
   * engine memory footprints (the same sections' mem_bytes key): bytes at
     end of run, lower is better. A row that silently balloons past the
     threshold fails CI even if its events/s held up — the large-scale tier
@@ -40,7 +42,9 @@ Two kinds of entries are compared, matched by name across the files:
     0.144 -> 0.028).
 
 Entries present in only one file are reported but never fail the check
-(benches come and go across PRs); a matched entry that regressed by more
+(benches come and go across PRs), and a row or micro kernel that lacks the
+metric a check reads is skipped for that check, so records of different
+vintages compare on what they share; a matched entry that regressed by more
 than --threshold percent (default 25) fails with exit code 1. Records are
 expected to come from comparable runs (same host class, same build type) —
 this guards against collateral kernel damage, not micro-noise, hence the
@@ -52,10 +56,15 @@ import json
 import sys
 
 
+def _with(rows, key):
+    """The rows that carry `key` (records of other vintages may lack it)."""
+    return (row for row in rows if key in row)
+
+
 def micro_kernels(record):
     """name -> cpu_time (ns, lower is better) from the benchmarks array."""
     out = {}
-    for b in record.get("benchmarks", []):
+    for b in _with(record.get("benchmarks", []), "cpu_time"):
         if b.get("run_type", "iteration") == "iteration":
             out[b["name"]] = float(b["cpu_time"])
     return out
@@ -71,7 +80,7 @@ def _engine_rows(record):
 def engine_rates(record):
     """name -> events/s (higher is better) from the engine row sections."""
     out = {}
-    for row in _engine_rows(record):
+    for row in _with(_engine_rows(record), "events_per_s"):
         name = "online_events_per_s[engine=%s,nodes=%d,shards=%d]" % (
             row.get("engine", "sharded"),
             int(row["nodes"]),
@@ -80,7 +89,8 @@ def engine_rates(record):
         out[name] = float(row["events_per_s"])
     # PR 3's bench_shard_scaling section: always the sharded engine at 1000
     # nodes (the workload string pins it); normalize to the same key space.
-    for row in record.get("shard_scaling", {}).get("results", []):
+    for row in _with(record.get("shard_scaling", {}).get("results", []),
+                     "events_per_s"):
         name = "online_events_per_s[engine=sharded,nodes=1000,shards=%d]" % int(
             row["shards"]
         )
@@ -95,9 +105,7 @@ def engine_memory(record):
     absent here and show up as only-in-one-file, which never fails.
     """
     out = {}
-    for row in _engine_rows(record):
-        if "mem_bytes" not in row:
-            continue
+    for row in _with(_engine_rows(record), "mem_bytes"):
         name = "mem_bytes[engine=%s,nodes=%d,shards=%d]" % (
             row.get("engine", "sharded"),
             int(row["nodes"]),
@@ -121,7 +129,7 @@ def _serving_key(row):
 def serving_p99(record):
     """name -> p99 latency in us (lower is better) from the serving rows."""
     out = {}
-    for row in record.get("serving", {}).get("results", []):
+    for row in _with(record.get("serving", {}).get("results", []), "p99_us"):
         out["serving_p99_us[%s]" % _serving_key(row)] = float(row["p99_us"])
     return out
 
@@ -129,7 +137,7 @@ def serving_p99(record):
 def serving_qps(record):
     """name -> achieved queries/s (higher is better) from the serving rows."""
     out = {}
-    for row in record.get("serving", {}).get("results", []):
+    for row in _with(record.get("serving", {}).get("results", []), "qps"):
         out["serving_qps[%s]" % _serving_key(row)] = float(row["qps"])
     return out
 
@@ -141,9 +149,8 @@ def serving_publish_bytes(record):
     simply absent and show up as only-in-one-file, which never fails.
     """
     out = {}
-    for row in record.get("serving", {}).get("results", []):
-        if "snapshot_publish_bytes_per_epoch" not in row:
-            continue
+    for row in _with(record.get("serving", {}).get("results", []),
+                     "snapshot_publish_bytes_per_epoch"):
         out["serving_publish_bytes[%s]" % _serving_key(row)] = float(
             row["snapshot_publish_bytes_per_epoch"]
         )
@@ -162,7 +169,8 @@ def _rebalance_key(row):
 def rebalance_rates(record):
     """name -> events/s (higher is better) from the rebalance rows."""
     out = {}
-    for row in record.get("rebalance", {}).get("results", []):
+    for row in _with(record.get("rebalance", {}).get("results", []),
+                     "events_per_s"):
         out["rebalance_events_per_s[%s]" % _rebalance_key(row)] = float(
             row["events_per_s"]
         )
@@ -177,7 +185,8 @@ def rebalance_spread(record):
     slowdown.
     """
     out = {}
-    for row in record.get("rebalance", {}).get("results", []):
+    for row in _with(record.get("rebalance", {}).get("results", []),
+                     "util_spread"):
         out["rebalance_util_spread[%s]" % _rebalance_key(row)] = float(
             row["util_spread"]
         )

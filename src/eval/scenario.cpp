@@ -2,16 +2,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 
-#include <algorithm>
-
 #include "common/check.hpp"
 #include "latency/trace.hpp"
-#include "sim/replay.hpp"
 #include "sim/sharded_sim.hpp"
 
 namespace nc::eval {
@@ -38,36 +36,34 @@ struct SliceCleanup {
   }
 };
 
+/// The fields both engine modes take from a spec alike.
+void fill_run_config(const ScenarioSpec& spec, sim::RunConfig& c) {
+  c.client = spec.client;
+  c.duration_s = spec.workload.duration_s;
+  c.measure_start_s = resolved_measure_start_s(spec);
+  c.collect_timeseries = spec.measurement.collect_timeseries;
+  c.timeseries_bucket_s = spec.measurement.timeseries_bucket_s;
+  c.collect_oracle = spec.measurement.collect_oracle;
+  c.tracked_nodes = spec.measurement.tracked_nodes;
+  c.track_interval_s = spec.measurement.track_interval_s;
+  c.estimator = spec.estimator;
+  c.rebalance_interval_epochs = spec.rebalance_interval_epochs;
+  c.rebalance_max_moves = spec.rebalance_max_moves;
+}
+
 ScenarioOutput run_replay_mode(const ScenarioSpec& spec) {
   lat::TraceGenerator gen(resolve_trace_config(spec.workload));
   for (const RouteChangeEvent& rc : spec.workload.route_changes)
     gen.network().schedule_route_change(rc.i, rc.j, rc.factor, rc.at_t);
 
-  sim::ReplayConfig rc;
-  rc.client = spec.client;
-  rc.duration_s = spec.workload.duration_s;
-  rc.measure_start_s = resolved_measure_start_s(spec);
-  // The kernel's epoch matches the trace cadence; spec.shards = 0 means
-  // "one worker shard" (there is no other replay engine).
-  rc.epoch_s = spec.workload.ping_interval_s;
-  rc.shards = std::max(1, spec.shards);
-  rc.collect_timeseries = spec.measurement.collect_timeseries;
-  rc.timeseries_bucket_s = spec.measurement.timeseries_bucket_s;
-  rc.collect_oracle = spec.measurement.collect_oracle;
-  rc.tracked_nodes = spec.measurement.tracked_nodes;
-  rc.track_interval_s = spec.measurement.track_interval_s;
-  rc.estimator = spec.estimator;
-  rc.rebalance_interval_epochs = spec.rebalance_interval_epochs;
-  rc.rebalance_max_moves = spec.rebalance_max_moves;
-
-  sim::ReplayDriver driver(rc, gen.num_nodes());
-  // Partitioned replay is the default at shards > 1, EXCEPT under
-  // collect_oracle: oracle sampling hits the generating network, which is
-  // not safe from concurrent readers — those runs silently keep the
-  // single-reader path (the results are bit-identical either way, so the
-  // fallback is an engine choice, not a semantic one).
-  if (spec.partition_replay && rc.shards > 1 &&
-      !spec.measurement.collect_oracle) {
+  const sim::ReplayConfig rc = resolve_replay_config(spec);
+  sim::ShardedEngine engine(rc, gen.num_nodes());
+  // The reader follows from what the run needs: partitioned at shards > 1,
+  // EXCEPT under collect_oracle — oracle sampling hits the generating
+  // network, which is not safe from concurrent readers, so those runs keep
+  // the single reader (the results are bit-identical either way, so this is
+  // an engine choice, not a semantic one).
+  if (rc.shards > 1 && !spec.measurement.collect_oracle) {
     // Partition-on-open: split the generated trace into per-shard slice
     // files, then let every worker shard read its own slice
     // (run_partitioned) instead of funneling all records through one
@@ -83,18 +79,18 @@ ScenarioOutput run_replay_mode(const ScenarioSpec& spec) {
       readers.push_back(std::make_unique<lat::TraceReader>(path));
       sources.push_back(readers.back().get());
     }
-    driver.run_partitioned(sources);
+    engine.run_partitioned(sources);
   } else {
-    driver.run(gen, spec.measurement.collect_oracle ? &gen.network() : nullptr);
+    engine.run(gen, spec.measurement.collect_oracle ? &gen.network() : nullptr);
   }
 
   std::uint64_t absorbed = 0;
-  for (NodeId id = 0; id < driver.num_nodes(); ++id)
-    absorbed += driver.client(id).absorbed_sample_count();
-  ScenarioOutput out{std::move(driver.metrics()), gen.produced(),
+  for (NodeId id = 0; id < engine.num_nodes(); ++id)
+    absorbed += engine.client(id).absorbed_sample_count();
+  ScenarioOutput out{std::move(engine.metrics()), gen.produced(),
                      gen.attempts(), absorbed, 0, 0, {}, {}};
   out.estimator_stats = out.metrics.estimator_stats();
-  out.memory = driver.memory_budget();
+  out.memory = engine.memory_budget();
   return out;
 }
 
@@ -123,21 +119,21 @@ ScenarioOutput run_online_mode(const ScenarioSpec& spec) {
 sim::OnlineSimConfig resolve_online_config(const ScenarioSpec& spec) {
   const WorkloadSpec& w = spec.workload;
   sim::OnlineSimConfig oc;
-  oc.client = spec.client;
-  oc.duration_s = w.duration_s;
-  oc.measure_start_s = resolved_measure_start_s(spec);
+  fill_run_config(spec, oc);
   oc.ping_interval_s = w.ping_interval_s;
   oc.bootstrap_degree = w.bootstrap_degree;
-  oc.collect_timeseries = spec.measurement.collect_timeseries;
-  oc.timeseries_bucket_s = spec.measurement.timeseries_bucket_s;
-  oc.collect_oracle = spec.measurement.collect_oracle;
-  oc.tracked_nodes = spec.measurement.tracked_nodes;
-  oc.track_interval_s = spec.measurement.track_interval_s;
   oc.seed = w.seed;
-  oc.estimator = spec.estimator;
-  oc.rebalance_interval_epochs = spec.rebalance_interval_epochs;
-  oc.rebalance_max_moves = spec.rebalance_max_moves;
   return oc;
+}
+
+sim::ReplayConfig resolve_replay_config(const ScenarioSpec& spec) {
+  sim::ReplayConfig rc;
+  fill_run_config(spec, rc);
+  // The kernel's epoch matches the trace cadence; spec.shards = 0 means
+  // "one worker shard" (there is no other replay engine).
+  rc.epoch_s = spec.workload.ping_interval_s;
+  rc.shards = std::max(1, spec.shards);
+  return rc;
 }
 
 lat::TopologyConfig resolve_topology_config(const WorkloadSpec& workload) {

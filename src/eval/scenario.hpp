@@ -35,7 +35,6 @@
 #include "latency/link_model.hpp"
 #include "latency/trace_generator.hpp"
 #include "sim/metrics.hpp"
-#include "sim/online_sim.hpp"
 #include "sim/sharded_route_change.hpp"
 #include "sim/sharded_sim.hpp"
 
@@ -83,8 +82,11 @@ struct ScenarioSpec {
   /// Worker shards of the epoch-sharded kernel, for BOTH modes — one run
   /// spread across cores, bit-identical for any shard count (see
   /// sim/sharded_sim.hpp). 0 and 1 both mean one worker shard: the kernel
-  /// is the only engine (the serial simulators were retired in PR 5; their
-  /// facades run the same kernel).
+  /// is the only engine. Replay at shards > 1 splits the generated trace by
+  /// owner shard and gives every shard its own reader
+  /// (ShardedEngine::run_partitioned), unless measurement.collect_oracle
+  /// keeps it on one reader — the generating network is not safe to sample
+  /// from concurrent readers. Both paths are bit-identical.
   int shards = 0;
 
   WorkloadSpec workload;
@@ -94,18 +96,6 @@ struct ScenarioSpec {
   /// metrics (registry backend presets: coordinates, idms, idms-volatile,
   /// idms-sticky, snapshot — see apply_backend).
   est::EstimatorSpec estimator;
-
-  /// Replay mode with shards > 1: materialize the generated trace to disk,
-  /// split it by owner shard (lat::partition_trace) and replay one slice
-  /// per reading shard (ShardedEngine::run_partitioned) instead of funneling
-  /// every record through shard 0's serial reader. Bit-identical to the
-  /// single-reader path; costs one extra trace pass + temp-file space. ON by
-  /// default since PR 9 — multi-core replay profiles showed the serial
-  /// reader stall. Falls back to the single reader when
-  /// measurement.collect_oracle is set (the generating network is not safe
-  /// to sample from concurrent readers). Ignored in online mode and at one
-  /// shard. Bench flag: --partition-trace=0 opts out.
-  bool partition_replay = true;
 
   /// Dynamic shard ownership (sim/sharded_sim.hpp): rebalance the node
   /// partition every k epochs from per-node event weights, migrating at
@@ -141,10 +131,11 @@ struct ScenarioOutput {
 /// benches can build matching TraceGenerators, e.g. for filter-only studies).
 [[nodiscard]] lat::TraceGenConfig resolve_trace_config(const WorkloadSpec& workload);
 
-/// The online-engine configuration a spec resolves to (exposed so benches
-/// that drive the kernel directly — e.g. bench_event_core reading
+/// The engine configurations a spec resolves to, per mode (exposed so
+/// benches that drive the kernel directly — e.g. bench_event_core reading
 /// events_processed() — assemble exactly what run_scenario would).
 [[nodiscard]] sim::OnlineSimConfig resolve_online_config(const ScenarioSpec& spec);
+[[nodiscard]] sim::ReplayConfig resolve_replay_config(const ScenarioSpec& spec);
 
 /// The topology configuration a workload resolves to (node count and seed
 /// fallbacks applied).

@@ -155,13 +155,6 @@ class LatencyNetwork {
   [[nodiscard]] const AvailabilityConfig& availability() const noexcept {
     return availability_;
   }
-  /// Links that received a controlled route-change schedule. The
-  /// OnlineSimulator facade uses this to reject a network whose schedule it
-  /// cannot honor (the kernel takes schedules as explicit constructor
-  /// arguments, not from borrowed network state).
-  [[nodiscard]] std::size_t scheduled_route_change_count() const noexcept {
-    return scheduled_links_;
-  }
 
   /// One application-level ping i -> j at time t. nullopt: the ping was lost
   /// or the target is down. Does not check whether i itself is up — a down
@@ -220,7 +213,6 @@ class LatencyNetwork {
   PagedStore<LinkState> links_;
   std::vector<NodeState> nodes_;
   std::vector<bool> node_init_;
-  std::size_t scheduled_links_ = 0;
   std::uint64_t samples_ = 0;
   std::uint64_t losses_ = 0;
 };

@@ -79,22 +79,8 @@ std::size_t mailbox_cell_hint(int num_nodes, int shards, bool replay) noexcept {
 
 OnlineSimConfig replay_as_engine_config(const ReplayConfig& config) {
   OnlineSimConfig oc;
-  oc.client = config.client;
-  oc.duration_s = config.duration_s;
-  oc.measure_start_s = config.measure_start_s;
+  static_cast<RunConfig&>(oc) = config;
   oc.ping_interval_s = config.epoch_s;  // the kernel's epoch length
-  oc.collect_timeseries = config.collect_timeseries;
-  oc.timeseries_bucket_s = config.timeseries_bucket_s;
-  oc.collect_oracle = config.collect_oracle;
-  oc.tracked_nodes = config.tracked_nodes;
-  oc.track_interval_s = config.track_interval_s;
-  oc.estimator = config.estimator;
-  oc.publish_snapshots = config.publish_snapshots;
-  oc.snapshot_interval_epochs = config.snapshot_interval_epochs;
-  oc.snapshot_deltas = config.snapshot_deltas;
-  oc.snapshot_base_interval = config.snapshot_base_interval;
-  oc.rebalance_interval_epochs = config.rebalance_interval_epochs;
-  oc.rebalance_max_moves = config.rebalance_max_moves;
   return oc;
 }
 
@@ -125,13 +111,39 @@ ShardedEngine::ShardedEngine(const OnlineSimConfig& config, int shards,
   }
   for (auto& [key, steps] : route_changes_) std::sort(steps.begin(), steps.end());
 
-  // One shared builder with the facade: same validations, same per-node
-  // streams, same bootstrap membership (identical at any shard count —
-  // every draw comes from a node's own stream).
-  OnlineNodeRuntime rt = make_online_node_runtime(config, n);
-  clients_ = std::move(rt.clients);
-  neighbors_ = std::move(rt.neighbors);
-  timer_rngs_ = std::move(rt.timer_rngs);
+  // Per-node runtime, every draw from the node's own stream (config.seed
+  // alone pins it, at any shard count): clients, neighbor sets and ping
+  // timers, then bootstrap membership.
+  NC_CHECK_MSG(config.bootstrap_degree >= 1, "need at least one bootstrap peer");
+  NC_CHECK_MSG(config.bootstrap_degree < n,
+               "bootstrap_degree must leave at least one non-peer "
+               "(fewer distinct peers than requested exist)");
+  NC_CHECK_MSG(config.ping_interval_s > 0.0, "ping interval must be positive");
+  clients_.reserve(static_cast<std::size_t>(n));
+  neighbors_.reserve(static_cast<std::size_t>(n));
+  timer_rngs_.reserve(static_cast<std::size_t>(n));
+  for (NodeId id = 0; id < n; ++id) {
+    clients_.push_back(std::make_unique<NCClient>(id, config.client));
+    neighbors_.emplace_back(
+        config.neighbor_capacity,
+        hash_combine(config.seed, static_cast<std::uint64_t>(id)));
+    timer_rngs_.push_back(Rng::derived(config.seed, rngstream::kPingTimer,
+                                       static_cast<std::uint64_t>(id)));
+  }
+  // Every node knows `bootstrap_degree` DISTINCT random peers, drawn from
+  // its own kBootstrap stream — a duplicate draw must not eat a slot, or
+  // nodes silently start under-connected.
+  for (NodeId id = 0; id < n; ++id) {
+    Rng boot = Rng::derived(config.seed, rngstream::kBootstrap,
+                            static_cast<std::uint64_t>(id));
+    int added = 0;
+    while (added < config.bootstrap_degree) {
+      const auto peer =
+          static_cast<NodeId>(boot.uniform_int(static_cast<std::uint64_t>(n)));
+      if (peer == id) continue;
+      if (neighbors_[static_cast<std::size_t>(id)].add(peer)) ++added;
+    }
+  }
   msg_seq_.assign(static_cast<std::size_t>(n), 0);
   node_dyn_.resize(static_cast<std::size_t>(n));
   snapshots_.resize(static_cast<std::size_t>(n));
@@ -148,8 +160,6 @@ ShardedEngine::ShardedEngine(const ReplayConfig& config, int num_nodes)
   NC_CHECK_MSG(config.shards >= 1, "need at least one shard");
   NC_CHECK_MSG(num_nodes >= 1, "need at least one node");
   NC_CHECK_MSG(config.epoch_s > 0.0, "epoch length must be positive");
-  NC_CHECK_MSG(config.tracked_nodes.empty() || config.track_interval_s > 0.0,
-               "tracking requires a positive track interval");
 
   clients_.reserve(static_cast<std::size_t>(num_nodes));
   for (NodeId id = 0; id < num_nodes; ++id)
@@ -185,6 +195,8 @@ void ShardedEngine::init_snapshot_publication(int shards, int num_nodes) {
 }
 
 void ShardedEngine::init_shards(int shards, int num_nodes) {
+  NC_CHECK_MSG(config_.tracked_nodes.empty() || config_.track_interval_s > 0.0,
+               "tracking requires a positive track interval");
   NC_CHECK_MSG(config_.rebalance_interval_epochs >= 0,
                "rebalance interval must be >= 0 epochs");
   NC_CHECK_MSG(config_.rebalance_max_moves >= 0,

@@ -66,8 +66,8 @@
 // observed at the next boundary), and node up/down/overload state advances
 // at epoch starts instead of per query. shards=1 is the reference
 // semantics; the retired serial engines' immediate-delivery semantics no
-// longer exist as a separate code path (OnlineSimulator and ReplayDriver
-// are thin facades over this kernel).
+// longer exist as a code path. Construct a ShardedEngine and call run(),
+// run(source, oracle) or run_partitioned(): there is no other way in.
 #pragma once
 
 #include <cstdint>
@@ -80,58 +80,103 @@
 #include "core/nc_client.hpp"
 #include "core/neighbor_set.hpp"
 #include "core/ownership.hpp"
+#include "estimate/estimator_config.hpp"
 #include "estimate/snapshot.hpp"
 #include "latency/link_model.hpp"
 #include "latency/topology.hpp"
 #include "latency/trace.hpp"
 #include "sim/metrics.hpp"
-#include "sim/online_sim.hpp"
 #include "sim/shard_mailbox.hpp"
 #include "sim/sharded_route_change.hpp"
 
 namespace nc::sim {
 
-/// Replay-mode configuration (the paper's simulator methodology, Sec. IV-A):
-/// every node runs an identically-configured client; the observation stream
-/// comes from a recorded or generated trace instead of live timers.
-struct ReplayConfig {
+/// What every engine run is configured with, in either mode: the client
+/// pipeline, the run and measurement windows, what to collect, the
+/// estimation backend, snapshot publication and dynamic ownership.
+struct RunConfig {
   NCClientConfig client;  // identical configuration on every node
 
   double duration_s = 4.0 * 3600.0;
   /// Accuracy/stability measured from here (paper: second half of the run).
   double measure_start_s = 2.0 * 3600.0;
 
+  bool collect_timeseries = false;
+  double timeseries_bucket_s = 600.0;
+  bool collect_oracle = false;
+  std::vector<NodeId> tracked_nodes;
+  double track_interval_s = 600.0;
+
+  /// Which estimation backend answers RTT queries (and scores the accuracy
+  /// metrics). Each shard owns one instance fed its nodes' observations.
+  est::EstimatorSpec estimator;
+
+  /// Publish an immutable est::EpochSnapshot of every node's application
+  /// coordinate / confidence / availability at epoch boundaries — the
+  /// serving layer's concurrent read path (ShardedEngine::
+  /// snapshot_publisher()). Off by default; with publication off the run is
+  /// bit-identical to a build without the seam. Forced on when
+  /// estimator.backend == kSnapshot.
+  bool publish_snapshots = false;
+  /// Publish every k-th epoch boundary (>= 1). The end-of-run state is
+  /// always published once the run finishes, whatever the cadence.
+  int snapshot_interval_epochs = 1;
+  /// Churn-proportional publication: ship a full base snapshot only every
+  /// snapshot_base_interval-th publish and compact deltas (the slots whose
+  /// published state actually changed) in between. Readers reconstruct the
+  /// full view through est::SnapshotView. Observationally identical to full
+  /// publication — same publish epochs, same version numbering, and any
+  /// reconstructed view matches the full snapshot slot for slot — only the
+  /// bytes shipped per publish change (O(churn) instead of O(n)).
+  bool snapshot_deltas = false;
+  /// Full-base cadence in publishes (>= 1) when snapshot_deltas is on. The
+  /// end-of-run publish always ships a base, whatever the cadence.
+  int snapshot_base_interval = 16;
+
+  /// Dynamic shard ownership (core/ownership.hpp): every k-th epoch barrier
+  /// each shard deterministically re-plans node placement from per-node
+  /// event weights and migrates a bounded batch of nodes between shards
+  /// through the epoch mailbox. 0 (default) keeps the static block
+  /// partition. Metrics are bit-identical at any shard count with
+  /// rebalancing on, and identical to off — only per-shard utilization and
+  /// the memory layout change. Link-state layout has no knob of its own:
+  /// each shard's store is flat up to 32M slots and sparse beyond, and the
+  /// full-height stores rebalancing needs are always sparse
+  /// (common/link_store.hpp).
+  int rebalance_interval_epochs = 0;
+  /// Upper bound on nodes migrated per rebalance barrier (>= 0).
+  int rebalance_max_moves = 8;
+};
+
+/// Online-mode configuration (the paper's PlanetLab deployment, Sec. VI):
+/// every node samples one neighbor from its NeighborSet in round-robin
+/// order every `ping_interval_s` (the kernel's epoch length), with a small
+/// deterministic phase jitter; pings and pongs carry the sender's
+/// coordinate state plus one gossiped neighbor address, so membership
+/// spreads epidemically from a small bootstrap set. Every stochastic draw
+/// derives from `seed` and the entity keys.
+struct OnlineSimConfig : RunConfig {
+  double ping_interval_s = 5.0;   // paper Sec. VI
+  double ping_jitter_s = 0.25;    // deterministic phase jitter per ping
+
+  /// Each node bootstraps with this many DISTINCT random known peers, in
+  /// [1, n).
+  int bootstrap_degree = 3;
+  std::size_t neighbor_capacity = 512;
+
+  std::uint64_t seed = 7;
+};
+
+/// Replay-mode configuration (the paper's simulator methodology, Sec. IV-A):
+/// every node runs an identically-configured client; the observation stream
+/// comes from a recorded or generated trace instead of live timers.
+struct ReplayConfig : RunConfig {
   /// Epoch length of the sharded kernel (the replay analogue of the online
   /// engine's ping_interval_s). run_scenario sets it to the workload's trace
   /// cadence; the default matches TraceGenConfig's 1 Hz per-node pings.
   double epoch_s = 1.0;
   /// Worker shards (>= 1). Results are bit-identical for any value.
   int shards = 1;
-
-  bool collect_timeseries = false;
-  double timeseries_bucket_s = 600.0;
-  bool collect_oracle = false;
-
-  /// Estimation backend (per-shard instances; see est::EstimatorSpec).
-  est::EstimatorSpec estimator;
-
-  std::vector<NodeId> tracked_nodes;
-  double track_interval_s = 600.0;
-
-  /// Same contract as OnlineSimConfig: publish epoch snapshots for
-  /// concurrent readers (off by default; forced on by backend kSnapshot).
-  bool publish_snapshots = false;
-  int snapshot_interval_epochs = 1;
-  /// Same contract as OnlineSimConfig: churn-proportional delta publication
-  /// (full base every snapshot_base_interval publishes, compact deltas in
-  /// between). Observationally identical to full publication.
-  bool snapshot_deltas = false;
-  int snapshot_base_interval = 16;
-
-  /// Same contract as OnlineSimConfig: dynamic shard ownership every k
-  /// epochs (0 keeps the static block partition).
-  int rebalance_interval_epochs = 0;
-  int rebalance_max_moves = 8;
 };
 
 /// Per-run byte accounting of the engine's big state blocks (surfaced in

@@ -6,6 +6,8 @@
 
 #include "common/check.hpp"
 #include "eval/scenario.hpp"
+#include "latency/trace_generator.hpp"
+#include "sim/sharded_sim.hpp"
 
 namespace nc::eval {
 namespace {
@@ -210,20 +212,34 @@ TEST(BackendPresets, EveryPresetRunsAShortScenario) {
   }
 }
 
-// Partition-on-open replay (spec.partition_replay): splitting the generated
-// trace into per-shard slice files and replaying one slice per reader must
-// not change a single metric bit vs the single-reader path.
+/// The single-reader reference for run_scenario's replay at the spec's
+/// shard count: the same generated trace through ShardedEngine::run.
+ScenarioOutput single_reader_replay(const ScenarioSpec& spec) {
+  lat::TraceGenerator gen(resolve_trace_config(spec.workload));
+  for (const RouteChangeEvent& rc : spec.workload.route_changes)
+    gen.network().schedule_route_change(rc.i, rc.j, rc.factor, rc.at_t);
+  sim::ShardedEngine engine(resolve_replay_config(spec), gen.num_nodes());
+  engine.run(gen, spec.measurement.collect_oracle ? &gen.network() : nullptr);
+  std::uint64_t absorbed = 0;
+  for (NodeId id = 0; id < engine.num_nodes(); ++id)
+    absorbed += engine.client(id).absorbed_sample_count();
+  ScenarioOutput out{std::move(engine.metrics()), gen.produced(),
+                     gen.attempts(), absorbed, 0, 0, {}, {}};
+  out.estimator_stats = engine.estimator_stats();
+  return out;
+}
+
+// Partition-on-open replay: at shards > 1 run_scenario splits the generated
+// trace into per-shard slice files and replays one slice per reader. That
+// must not change a single metric bit vs one reader at the same shard
+// count.
 TEST(PartitionReplay, BitIdenticalToSingleReader) {
   ScenarioSpec spec = make_scenario("planetlab");
   spec.workload.num_nodes = 24;
   spec.workload.duration_s = 600.0;
   spec.shards = 3;
 
-  // Partitioned replay is the default since PR 9; the single-reader path is
-  // the explicit opt-out under comparison here.
-  spec.partition_replay = false;
-  const ScenarioOutput single = run_scenario(spec);
-  spec.partition_replay = true;
+  const ScenarioOutput single = single_reader_replay(spec);
   const ScenarioOutput split = run_scenario(spec);
 
   EXPECT_EQ(single.records, split.records);
@@ -240,38 +256,34 @@ TEST(PartitionReplay, BitIdenticalToSingleReader) {
   EXPECT_EQ(single.estimator_stats.queries, split.estimator_stats.queries);
 }
 
-// One worker shard: the flag is a no-op (the slice path needs shards > 1),
-// and oracle collection composes with it because the single-reader branch
-// still runs.
+// One worker shard: the slice path needs shards > 1, and oracle collection
+// composes with it because the single-reader branch runs.
 TEST(PartitionReplay, SingleShardFallsBackToOneReader) {
   ScenarioSpec spec = make_scenario("planetlab");
   spec.workload.num_nodes = 12;
   spec.workload.duration_s = 300.0;
   spec.shards = 1;
   spec.measurement.collect_oracle = true;
-  spec.partition_replay = true;
   const ScenarioOutput out = run_scenario(spec);
   EXPECT_GT(out.metrics.observation_count(), 0u);
 }
 
-// Sharded + oracle: partition_replay now defaults ON, but oracle sampling
-// needs the generating network, which concurrent readers must not touch —
-// the run silently keeps the single reader instead of throwing, and the
-// metrics match an explicit single-reader run bit for bit.
+// Sharded + oracle: oracle sampling needs the generating network, which
+// concurrent readers must not touch — run_scenario keeps the single reader
+// instead of throwing, and the metrics match a direct single-reader run at
+// the same shard count bit for bit.
 TEST(PartitionReplay, OracleRunsFallBackToOneReader) {
   ScenarioSpec spec = make_scenario("planetlab");
   spec.workload.num_nodes = 16;
   spec.workload.duration_s = 300.0;
   spec.shards = 3;
   spec.measurement.collect_oracle = true;
-  ASSERT_TRUE(spec.partition_replay);  // the PR 9 default
-  const ScenarioOutput defaulted = run_scenario(spec);
-  spec.partition_replay = false;
-  const ScenarioOutput single = run_scenario(spec);
-  EXPECT_GT(defaulted.metrics.observation_count(), 0u);
-  EXPECT_EQ(defaulted.metrics.observation_count(),
+  const ScenarioOutput scenario = run_scenario(spec);
+  const ScenarioOutput single = single_reader_replay(spec);
+  EXPECT_GT(scenario.metrics.observation_count(), 0u);
+  EXPECT_EQ(scenario.metrics.observation_count(),
             single.metrics.observation_count());
-  EXPECT_EQ(defaulted.metrics.median_relative_error(),
+  EXPECT_EQ(scenario.metrics.median_relative_error(),
             single.metrics.median_relative_error());
 }
 

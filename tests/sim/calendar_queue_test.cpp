@@ -1,7 +1,13 @@
-#include "sim/event_queue.hpp"
+// Ordering contract of the kernel's calendar queue (calendar_queue.hpp):
+// pops follow the caller's total order exactly, across bucket wrap-arounds,
+// far-future residue buckets, bulk same-time bursts and resizes. The
+// generic cases run on a test-local (t, seq) order; the ShardEventQueue
+// cases pin the engine's canonical (t, kind, a, b, seq) order.
+#include "sim/calendar_queue.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "common/check.hpp"
@@ -10,109 +16,113 @@
 namespace nc::sim {
 namespace {
 
-struct Payload {
+struct Ev {
+  double t;
+  std::uint64_t seq;
   int id;
 };
 
-TEST(EventQueue, EmptyPopsNothing) {
-  EventQueue<Payload> q;
+struct TimeSeqOps {
+  [[nodiscard]] static double time(const Ev& e) noexcept { return e.t; }
+  [[nodiscard]] static bool less(const Ev& a, const Ev& b) noexcept {
+    if (a.t != b.t) return a.t < b.t;
+    return a.seq < b.seq;
+  }
+};
+
+/// A calendar over (t, seq) that stamps each push with its insertion
+/// sequence number, so equal times pop in insertion order.
+struct SeqQueue {
+  CalendarQueue<Ev, TimeSeqOps> calendar;
+  std::uint64_t next_seq = 0;
+
+  void push(double t, int id) { calendar.push(Ev{t, next_seq++, id}); }
+  [[nodiscard]] Ev pop() { return calendar.pop(); }
+  [[nodiscard]] bool empty() const noexcept { return calendar.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return calendar.size(); }
+};
+
+TEST(CalendarQueue, EmptyPopsNothing) {
+  SeqQueue q;
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.pop(), std::nullopt);
-  EXPECT_EQ(q.now(), 0.0);
+  EXPECT_EQ(q.calendar.peek(), nullptr);
+  EXPECT_THROW((void)q.pop(), CheckError);
 }
 
-TEST(EventQueue, PopsInTimeOrder) {
-  EventQueue<Payload> q;
-  q.schedule(3.0, {3});
-  q.schedule(1.0, {1});
-  q.schedule(2.0, {2});
+TEST(CalendarQueue, PopsInTimeOrder) {
+  SeqQueue q;
+  q.push(3.0, 3);
+  q.push(1.0, 1);
+  q.push(2.0, 2);
   EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.pop()->payload.id, 1);
-  EXPECT_EQ(q.pop()->payload.id, 2);
-  EXPECT_EQ(q.pop()->payload.id, 3);
+  EXPECT_EQ(q.pop().id, 1);
+  EXPECT_EQ(q.pop().id, 2);
+  EXPECT_EQ(q.pop().id, 3);
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, TiesBreakInInsertionOrder) {
-  EventQueue<Payload> q;
-  for (int i = 0; i < 10; ++i) q.schedule(5.0, {i});
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(q.pop()->payload.id, i);
+TEST(CalendarQueue, TiesBreakInInsertionOrder) {
+  SeqQueue q;
+  for (int i = 0; i < 10; ++i) q.push(5.0, i);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(q.pop().id, i);
 }
 
-TEST(EventQueue, ClockAdvancesWithPops) {
-  EventQueue<Payload> q;
-  q.schedule(2.5, {1});
-  q.schedule(7.0, {2});
-  EXPECT_EQ(q.pop()->payload.id, 1);
-  EXPECT_EQ(q.now(), 2.5);
-  EXPECT_EQ(q.pop()->payload.id, 2);
-  EXPECT_EQ(q.now(), 7.0);
+TEST(CalendarQueue, InterleavedScheduleAndPop) {
+  SeqQueue q;
+  q.push(1.0, 1);
+  const Ev e1 = q.pop();
+  q.push(e1.t + 1.0, 2);
+  q.push(e1.t + 0.5, 3);
+  EXPECT_EQ(q.pop().id, 3);
+  EXPECT_EQ(q.pop().id, 2);
 }
 
-TEST(EventQueue, SchedulingInThePastRejected) {
-  EventQueue<Payload> q;
-  q.schedule(10.0, {1});
-  EXPECT_EQ(q.pop()->payload.id, 1);
-  EXPECT_THROW(q.schedule(5.0, {2}), CheckError);
-  q.schedule(10.0, {3});  // same time as now is fine
-  EXPECT_EQ(q.pop()->payload.id, 3);
-}
-
-TEST(EventQueue, InterleavedScheduleAndPop) {
-  EventQueue<Payload> q;
-  q.schedule(1.0, {1});
-  const auto e1 = q.pop();
-  q.schedule(e1->t + 1.0, {2});
-  q.schedule(e1->t + 0.5, {3});
-  EXPECT_EQ(q.pop()->payload.id, 3);
-  EXPECT_EQ(q.pop()->payload.id, 2);
-}
-
-TEST(EventQueue, ManyEventsStressOrdering) {
-  EventQueue<Payload> q;
+TEST(CalendarQueue, ManyEventsStressOrdering) {
+  SeqQueue q;
   // Deterministic pseudo-random times.
   std::uint64_t x = 12345;
   for (int i = 0; i < 10000; ++i) {
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    q.schedule(static_cast<double>(x % 100000) / 10.0, {i});
+    q.push(static_cast<double>(x % 100000) / 10.0, i);
   }
   double last = -1.0;
-  while (auto e = q.pop()) {
-    ASSERT_GE(e->t, last);
-    last = e->t;
+  while (!q.empty()) {
+    const Ev e = q.pop();
+    ASSERT_GE(e.t, last);
+    last = e.t;
   }
 }
 
 // Same-timestamp events land in one calendar bucket; they must still pop in
 // insertion (sequence) order even when interleaved with earlier/later times
 // and when the burst is large enough to trigger bucket-count rebuilds.
-TEST(EventQueue, LargeSameTimeBurstPopsInInsertionOrder) {
-  EventQueue<Payload> q;
-  q.schedule(4.0, {-1});
-  for (int i = 0; i < 2000; ++i) q.schedule(5.0, {i});
-  q.schedule(4.5, {-2});
-  EXPECT_EQ(q.pop()->payload.id, -1);
-  EXPECT_EQ(q.pop()->payload.id, -2);
-  for (int i = 0; i < 2000; ++i) ASSERT_EQ(q.pop()->payload.id, i);
+TEST(CalendarQueue, LargeSameTimeBurstPopsInInsertionOrder) {
+  SeqQueue q;
+  q.push(4.0, -1);
+  for (int i = 0; i < 2000; ++i) q.push(5.0, i);
+  q.push(4.5, -2);
+  EXPECT_EQ(q.pop().id, -1);
+  EXPECT_EQ(q.pop().id, -2);
+  for (int i = 0; i < 2000; ++i) ASSERT_EQ(q.pop().id, i);
   EXPECT_TRUE(q.empty());
 }
 
 // A steady hold pattern cycles the calendar through many "years" (bucket
 // wrap-arounds): order must hold across every wrap.
-TEST(EventQueue, HoldPatternSurvivesBucketWrapAround) {
-  EventQueue<Payload> q;
+TEST(CalendarQueue, HoldPatternSurvivesBucketWrapAround) {
+  SeqQueue q;
   std::uint64_t x = 99;
-  for (int i = 0; i < 64; ++i) q.schedule(static_cast<double>(i) / 8.0, {i});
+  for (int i = 0; i < 64; ++i) q.push(static_cast<double>(i) / 8.0, i);
   double last = 0.0;
   for (int i = 0; i < 50000; ++i) {
-    const auto e = q.pop();
-    ASSERT_TRUE(e.has_value());
-    ASSERT_GE(e->t, last);
-    last = e->t;
+    ASSERT_FALSE(q.empty());
+    const Ev e = q.pop();
+    ASSERT_GE(e.t, last);
+    last = e.t;
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
     // Mean increment ~8 time units over 64 held events: the active window
     // keeps sliding far past any fixed bucket year.
-    q.schedule(e->t + static_cast<double>(x % 1000) / 64.0, {i});
+    q.push(e.t + static_cast<double>(x % 1000) / 64.0, i);
   }
   EXPECT_EQ(q.size(), 64u);
 }
@@ -120,27 +130,27 @@ TEST(EventQueue, HoldPatternSurvivesBucketWrapAround) {
 // Events scheduled far beyond the calendar's covered year wait in their
 // residue bucket (the overflow case) and must surface exactly in order once
 // the near-term traffic drains.
-TEST(EventQueue, FarFutureEventsPopAfterNearOnes) {
-  EventQueue<Payload> q;
-  q.schedule(1e6, {100});  // years ahead of everything else
-  q.schedule(2e6, {200});
-  for (int i = 0; i < 100; ++i) q.schedule(static_cast<double>(i), {i});
-  for (int i = 0; i < 100; ++i) ASSERT_EQ(q.pop()->payload.id, i);
-  EXPECT_EQ(q.pop()->payload.id, 100);  // cursor jumps a year gap
-  EXPECT_EQ(q.pop()->payload.id, 200);
-  EXPECT_EQ(q.pop(), std::nullopt);
+TEST(CalendarQueue, FarFutureEventsPopAfterNearOnes) {
+  SeqQueue q;
+  q.push(1e6, 100);  // years ahead of everything else
+  q.push(2e6, 200);
+  for (int i = 0; i < 100; ++i) q.push(static_cast<double>(i), i);
+  for (int i = 0; i < 100; ++i) ASSERT_EQ(q.pop().id, i);
+  EXPECT_EQ(q.pop().id, 100);  // cursor jumps a year gap
+  EXPECT_EQ(q.pop().id, 200);
+  EXPECT_TRUE(q.empty());
   // The queue stays usable after draining through the far-future jump.
-  q.schedule(3e6, {300});
-  EXPECT_EQ(q.pop()->payload.id, 300);
+  q.push(3e6, 300);
+  EXPECT_EQ(q.pop().id, 300);
 }
 
 // Grow-then-shrink: a large population resizes the calendar up; draining it
 // must shrink back without losing or reordering the survivors.
-TEST(EventQueue, ShrinkAfterDrainKeepsRemainingOrder) {
-  EventQueue<Payload> q;
-  for (int i = 0; i < 5000; ++i) q.schedule(static_cast<double>(i) * 0.01, {i});
-  for (int i = 0; i < 4990; ++i) ASSERT_EQ(q.pop()->payload.id, i);
-  for (int i = 0; i < 10; ++i) ASSERT_EQ(q.pop()->payload.id, 4990 + i);
+TEST(CalendarQueue, ShrinkAfterDrainKeepsRemainingOrder) {
+  SeqQueue q;
+  for (int i = 0; i < 5000; ++i) q.push(static_cast<double>(i) * 0.01, i);
+  for (int i = 0; i < 4990; ++i) ASSERT_EQ(q.pop().id, i);
+  for (int i = 0; i < 10; ++i) ASSERT_EQ(q.pop().id, 4990 + i);
   EXPECT_TRUE(q.empty());
 }
 

@@ -1,4 +1,4 @@
-#include "sim/replay.hpp"
+#include "sim/sharded_sim.hpp"
 
 #include <gtest/gtest.h>
 
@@ -26,28 +26,28 @@ ReplayConfig small_replay(double duration = 600.0) {
   return c;
 }
 
-TEST(ReplayDriver, CoordinatesConvergeOnSyntheticPlanetLab) {
+TEST(ReplayEngine, CoordinatesConvergeOnSyntheticPlanetLab) {
   lat::TraceGenerator gen(small_trace());
-  ReplayDriver driver(small_replay(), gen.num_nodes());
-  driver.run(gen);
-  EXPECT_GT(driver.metrics().observation_count(), 5000u);
+  ShardedEngine engine(small_replay(), gen.num_nodes());
+  engine.run(gen);
+  EXPECT_GT(engine.metrics().observation_count(), 5000u);
   // With the MP filter, the median node should reach reasonable accuracy
   // within 10 minutes on a 24-node network.
-  EXPECT_LT(driver.metrics().median_relative_error(), 0.25);
+  EXPECT_LT(engine.metrics().median_relative_error(), 0.25);
   // Confidence rises from 0 on every node that observed samples.
   int confident = 0;
-  for (NodeId id = 0; id < driver.num_nodes(); ++id)
-    if (driver.client(id).confidence() > 0.5) ++confident;
-  EXPECT_GT(confident, driver.num_nodes() / 2);
+  for (NodeId id = 0; id < engine.num_nodes(); ++id)
+    if (engine.client(id).confidence() > 0.5) ++confident;
+  EXPECT_GT(confident, engine.num_nodes() / 2);
 }
 
-TEST(ReplayDriver, DeterministicAcrossRuns) {
+TEST(ReplayEngine, DeterministicAcrossRuns) {
   const auto run_once = [] {
     lat::TraceGenerator gen(small_trace(16, 300.0));
-    ReplayDriver driver(small_replay(300.0), gen.num_nodes());
-    driver.run(gen);
-    return std::pair{driver.metrics().median_relative_error(),
-                     driver.metrics().median_instability_ms_per_s()};
+    ShardedEngine engine(small_replay(300.0), gen.num_nodes());
+    engine.run(gen);
+    return std::pair{engine.metrics().median_relative_error(),
+                     engine.metrics().median_instability_ms_per_s()};
   };
   const auto a = run_once();
   const auto b = run_once();
@@ -55,55 +55,55 @@ TEST(ReplayDriver, DeterministicAcrossRuns) {
   EXPECT_EQ(a.second, b.second);
 }
 
-TEST(ReplayDriver, RecordsPastDurationIgnored) {
+TEST(ReplayEngine, RecordsPastDurationIgnored) {
   lat::TraceGenerator gen(small_trace(8, 600.0));
-  ReplayConfig rc = small_replay(300.0);  // driver stops at 300 s
-  ReplayDriver driver(rc, gen.num_nodes());
-  driver.run(gen);
-  EXPECT_GT(driver.metrics().observation_count(), 0u);
+  ReplayConfig rc = small_replay(300.0);  // engine stops at 300 s
+  ShardedEngine engine(rc, gen.num_nodes());
+  engine.run(gen);
+  EXPECT_GT(engine.metrics().observation_count(), 0u);
   // ~8 nodes * 300 s at 1 Hz minus losses.
-  EXPECT_LT(driver.metrics().observation_count(), 8u * 301u);
+  EXPECT_LT(engine.metrics().observation_count(), 8u * 301u);
 }
 
-TEST(ReplayDriver, OracleMetricsCollected) {
+TEST(ReplayEngine, OracleMetricsCollected) {
   lat::TraceGenerator gen(small_trace(12, 300.0));
   ReplayConfig rc = small_replay(300.0);
   rc.collect_oracle = true;
-  ReplayDriver driver(rc, gen.num_nodes());
-  driver.run(gen, &gen.network());
-  const auto cdf = driver.metrics().oracle_per_node_median_error();
+  ShardedEngine engine(rc, gen.num_nodes());
+  engine.run(gen, &gen.network());
+  const auto cdf = engine.metrics().oracle_per_node_median_error();
   EXPECT_GT(cdf.size(), 6u);
   EXPECT_LT(cdf.median(), 0.5);
 }
 
-TEST(ReplayDriver, TracksDriftOfSelectedNodes) {
+TEST(ReplayEngine, TracksDriftOfSelectedNodes) {
   lat::TraceGenerator gen(small_trace(8, 300.0));
   ReplayConfig rc = small_replay(300.0);
   rc.tracked_nodes = {0, 3};
   rc.track_interval_s = 60.0;
-  ReplayDriver driver(rc, gen.num_nodes());
-  driver.run(gen);
-  const auto& drift = driver.metrics().drift(3);
+  ShardedEngine engine(rc, gen.num_nodes());
+  engine.run(gen);
+  const auto& drift = engine.metrics().drift(3);
   EXPECT_GE(drift.size(), 3u);  // snapshots at 60, 120, 180, 240
   EXPECT_LE(drift.size(), 5u);
 }
 
-TEST(ReplayDriver, TraceWithMoreNodesThanDriverRejected) {
+TEST(ReplayEngine, TraceWithMoreNodesThanEngineRejected) {
   lat::TraceGenerator gen(small_trace(8, 60.0));
-  ReplayDriver driver(small_replay(60.0), 4);
-  EXPECT_THROW(driver.run(gen), CheckError);
+  ShardedEngine engine(small_replay(60.0), 4);
+  EXPECT_THROW(engine.run(gen), CheckError);
 }
 
-TEST(ReplayDriver, AppUpdatesSuppressedByEnergyHeuristic) {
+TEST(ReplayEngine, AppUpdatesSuppressedByEnergyHeuristic) {
   lat::TraceGenerator gen_a(small_trace(16, 600.0));
   ReplayConfig always = small_replay(600.0);
-  ReplayDriver da(always, gen_a.num_nodes());
+  ShardedEngine da(always, gen_a.num_nodes());
   da.run(gen_a);
 
   lat::TraceGenerator gen_b(small_trace(16, 600.0));
   ReplayConfig energy = small_replay(600.0);
   energy.client.heuristic = HeuristicConfig::energy(8.0, 32);
-  ReplayDriver db(energy, gen_b.num_nodes());
+  ShardedEngine db(energy, gen_b.num_nodes());
   db.run(gen_b);
 
   // Identical workload (same seed): ENERGY must cut application updates and

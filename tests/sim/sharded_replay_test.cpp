@@ -3,7 +3,7 @@
 // the same as the online engine's: every metric and every coordinate is
 // bit-identical for ANY --shards=W, because each entity consumes its
 // observation stream in a canonical, partition-independent order.
-#include "sim/replay.hpp"
+#include "sim/sharded_sim.hpp"
 
 #include <gtest/gtest.h>
 
@@ -45,13 +45,13 @@ ReplayConfig small_replay(double duration = 600.0, int shards = 1) {
 TEST(ShardedReplay, CoordinatesBitIdenticalAcrossShardCounts) {
   const auto run_with = [](int shards) {
     lat::TraceGenerator gen(small_trace());
-    ReplayDriver driver(small_replay(600.0, shards), gen.num_nodes());
-    driver.run(gen);
+    ShardedEngine engine(small_replay(600.0, shards), gen.num_nodes());
+    engine.run(gen);
     std::vector<Coordinate> coords;
-    for (NodeId id = 0; id < driver.num_nodes(); ++id)
-      coords.push_back(driver.client(id).system_coordinate());
-    return std::tuple{coords, driver.metrics().observation_count(),
-                      driver.events_processed()};
+    for (NodeId id = 0; id < engine.num_nodes(); ++id)
+      coords.push_back(engine.client(id).system_coordinate());
+    return std::tuple{coords, engine.metrics().observation_count(),
+                      engine.events_processed()};
   };
   const auto one = run_with(1);
   EXPECT_EQ(one, run_with(2));
@@ -141,9 +141,9 @@ TEST(ShardedReplay, OracleMetricsShardCountInvariant) {
     lat::TraceGenerator gen(small_trace(12, 300.0));
     ReplayConfig rc = small_replay(300.0, shards);
     rc.collect_oracle = true;
-    ReplayDriver driver(rc, gen.num_nodes());
-    driver.run(gen, &gen.network());
-    const auto cdf = driver.metrics().oracle_per_node_median_error();
+    ShardedEngine engine(rc, gen.num_nodes());
+    engine.run(gen, &gen.network());
+    const auto cdf = engine.metrics().oracle_per_node_median_error();
     return std::vector<double>(cdf.sorted_values().begin(),
                                cdf.sorted_values().end());
   };
@@ -160,13 +160,13 @@ TEST(ShardedReplay, DriftTrackingIsShardCountInvariant) {
     ReplayConfig rc = small_replay(600.0, shards);
     rc.tracked_nodes = {1, 17};  // land on different shards at W=3
     rc.track_interval_s = 120.0;
-    ReplayDriver driver(rc, gen.num_nodes());
-    driver.run(gen);
+    ShardedEngine engine(rc, gen.num_nodes());
+    engine.run(gen);
     std::vector<std::pair<double, Vec>> points;
     for (NodeId id : {1, 17})
-      for (const DriftPoint& p : driver.metrics().drift(id))
+      for (const DriftPoint& p : engine.metrics().drift(id))
         points.emplace_back(p.t, p.position);
-    return std::pair{points, driver.events_processed()};
+    return std::pair{points, engine.events_processed()};
   };
   const auto serial = drift_of(1);
   // 4 interior ticks + the final duration_s flush, per tracked node.
@@ -193,19 +193,19 @@ TEST(ShardedReplay, PartitionedReplayBitIdenticalToSingleReader) {
     double instability;
     bool operator==(const Result&) const = default;
   };
-  const auto result_of = [](ReplayDriver& driver) {
+  const auto result_of = [](ShardedEngine& engine) {
     Result r;
-    for (NodeId id = 0; id < driver.num_nodes(); ++id)
-      r.coords.push_back(driver.client(id).system_coordinate());
-    r.observations = driver.metrics().observation_count();
-    r.events = driver.events_processed();
-    r.median_err = driver.metrics().median_relative_error();
-    r.instability = driver.metrics().mean_instability_ms_per_s();
+    for (NodeId id = 0; id < engine.num_nodes(); ++id)
+      r.coords.push_back(engine.client(id).system_coordinate());
+    r.observations = engine.metrics().observation_count();
+    r.events = engine.events_processed();
+    r.median_err = engine.metrics().median_relative_error();
+    r.instability = engine.metrics().mean_instability_ms_per_s();
     return r;
   };
 
   lat::TraceReader ref_src(whole);
-  ReplayDriver ref(small_replay(600.0, 1), ref_src.num_nodes());
+  ShardedEngine ref(small_replay(600.0, 1), ref_src.num_nodes());
   ref.run(ref_src);
   const Result expected = result_of(ref);
 
@@ -218,9 +218,9 @@ TEST(ShardedReplay, PartitionedReplayBitIdenticalToSingleReader) {
       slices.push_back(std::make_unique<lat::TraceReader>(p));
       sources.push_back(slices.back().get());
     }
-    ReplayDriver driver(small_replay(600.0, shards), ref_src.num_nodes());
-    driver.run_partitioned(sources);
-    EXPECT_EQ(result_of(driver), expected) << "shards=" << shards;
+    ShardedEngine engine(small_replay(600.0, shards), ref_src.num_nodes());
+    engine.run_partitioned(sources);
+    EXPECT_EQ(result_of(engine), expected) << "shards=" << shards;
   }
 }
 
@@ -235,45 +235,45 @@ TEST(ShardedReplay, PartitionedReplayRejectsBadSlices) {
   {
     // Wrong slice count.
     lat::TraceReader a(whole);
-    ReplayDriver driver(small_replay(60.0, 2), 12);
+    ShardedEngine engine(small_replay(60.0, 2), 12);
     std::vector<lat::TraceSource*> sources{&a};
-    EXPECT_THROW(driver.run_partitioned(sources), CheckError);
+    EXPECT_THROW(engine.run_partitioned(sources), CheckError);
   }
   {
     // The whole trace handed to every shard: shard 1's reader immediately
     // sees records whose dst it does not own.
     lat::TraceReader a(whole);
     lat::TraceReader b(whole);
-    ReplayDriver driver(small_replay(60.0, 2), 12);
+    ShardedEngine engine(small_replay(60.0, 2), 12);
     std::vector<lat::TraceSource*> sources{&a, &b};
-    EXPECT_THROW(driver.run_partitioned(sources), CheckError);
+    EXPECT_THROW(engine.run_partitioned(sources), CheckError);
   }
 }
 
 TEST(ShardedReplay, MoreShardsThanNodesWorks) {
   lat::TraceGenerator gen(small_trace(5, 300.0));
-  ReplayDriver driver(small_replay(300.0, 8), gen.num_nodes());
-  driver.run(gen);
-  EXPECT_GT(driver.metrics().observation_count(), 0u);
+  ShardedEngine engine(small_replay(300.0, 8), gen.num_nodes());
+  engine.run(gen);
+  EXPECT_GT(engine.metrics().observation_count(), 0u);
 }
 
 TEST(ShardedReplay, RunTwiceRejected) {
   lat::TraceGenerator gen(small_trace(8, 60.0));
-  ReplayDriver driver(small_replay(60.0, 2), gen.num_nodes());
-  driver.run(gen);
+  ShardedEngine engine(small_replay(60.0, 2), gen.num_nodes());
+  engine.run(gen);
   lat::TraceGenerator gen2(small_trace(8, 60.0));
-  EXPECT_THROW(driver.run(gen2), CheckError);
+  EXPECT_THROW(engine.run(gen2), CheckError);
 }
 
 TEST(ShardedReplay, RejectsBadConfigs) {
-  EXPECT_THROW(ReplayDriver(small_replay(600.0, 0), 8), CheckError);
+  EXPECT_THROW(ShardedEngine(small_replay(600.0, 0), 8), CheckError);
   ReplayConfig bad_epoch = small_replay();
   bad_epoch.epoch_s = 0.0;
-  EXPECT_THROW(ReplayDriver(bad_epoch, 8), CheckError);
+  EXPECT_THROW(ShardedEngine(bad_epoch, 8), CheckError);
   ReplayConfig bad_track = small_replay();
   bad_track.tracked_nodes = {1};
   bad_track.track_interval_s = 0.0;
-  EXPECT_THROW(ReplayDriver(bad_track, 8), CheckError);
+  EXPECT_THROW(ShardedEngine(bad_track, 8), CheckError);
 }
 
 // The two run() entry points are mode-gated: a replay engine cannot run as
