@@ -10,7 +10,9 @@
 #include "core/filters/mp_filter.hpp"
 #include "core/nc_client.hpp"
 #include "core/vivaldi.hpp"
+#include "estimate/snapshot.hpp"
 #include "latency/trace_generator.hpp"
+#include "serve/coordinate_service.hpp"
 #include "sim/shard_mailbox.hpp"
 #include "stats/energy.hpp"
 #include "stats/p2_quantile.hpp"
@@ -169,6 +171,30 @@ void BM_ShardEventQueueEpochBatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShardEventQueueEpochBatch);
+
+// CoordinateService::nearest_k over one published snapshot of n placed,
+// up 3-D nodes (k = 5): the serving layer's scan kernel without the
+// open-loop harness around it. Origins rotate so no query repeats.
+void BM_NearestK(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(11);
+  est::SnapshotPublisher pub;
+  est::EpochSnapshot& snap = pub.staging(n);
+  for (auto& node : snap.nodes) {
+    node.app = Coordinate(rng.unit_vector(3) * rng.uniform(10.0, 150.0));
+    node.up = 1;
+  }
+  pub.publish(0.0);
+  serve::CoordinateService service(&pub, n);
+  std::vector<serve::CoordinateService::Neighbor> out;
+  NodeId origin = 0;
+  for (auto _ : state) {
+    service.nearest_k(origin, 5, out);
+    benchmark::DoNotOptimize(out.data());
+    origin = (origin + 97) % n;
+  }
+}
+BENCHMARK(BM_NearestK)->Arg(1024)->Arg(16384);
 
 }  // namespace
 

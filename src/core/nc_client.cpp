@@ -10,7 +10,7 @@ NCClient::NCClient(NodeId id, const NCClientConfig& config)
       vivaldi_(config.vivaldi, static_cast<std::uint64_t>(id)),
       heuristic_(config.heuristic.make()) {}
 
-NCClient::LinkState& NCClient::link_for(NodeId remote, double now_s) {
+NCClient::LinkState& NCClient::link_for(NodeId remote) {
   const auto rid = static_cast<std::uint32_t>(remote);
   if (const auto slot = slot_of_.find(rid); slot.has_value())
     return slab_[*slot];
@@ -29,14 +29,12 @@ NCClient::LinkState& NCClient::link_for(NodeId remote, double now_s) {
     free_slots_.pop_back();
     LinkState& s = slab_[idx];
     s.filter->reset();
-    s.last_coord = Coordinate{};
   } else {
-    slab_.push_back(LinkState{config_.filter.make(), {}, 0.0, kInvalidNode, 0});
+    slab_.push_back(LinkState{config_.filter.make(), kInvalidNode, 0});
     idx = static_cast<std::uint32_t>(slab_.size() - 1);
   }
   LinkState& s = slab_[idx];
   s.remote = remote;
-  s.last_seen_s = now_s;
   s.ref = 1;
   slot_of_.insert(rid, idx);
   ++active_links_;
@@ -80,9 +78,7 @@ ObservationOutcome NCClient::observe(NodeId remote, const Coordinate& remote_coo
   ++observations_;
 
   ObservationOutcome out;
-  LinkState& link = link_for(remote, now_s);
-  link.last_coord = remote_coord;
-  link.last_seen_s = now_s;
+  LinkState& link = link_for(remote);
   link.ref = 1;
 
   out.filtered_rtt_ms = link.filter->update(raw_rtt_ms);

@@ -126,10 +126,10 @@ class NCClient {
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
+  /// 16 bytes per link: only what observe() and eviction read. (The
+  /// remote's coordinate travels with each observation; it is not kept.)
   struct LinkState {
     std::unique_ptr<LatencyFilter> filter;
-    Coordinate last_coord;
-    double last_seen_s = 0.0;
     /// Which remote occupies this slab slot; kInvalidNode = free (filter
     /// parked for reuse).
     NodeId remote = kInvalidNode;
@@ -138,7 +138,7 @@ class NCClient {
     std::uint8_t ref = 0;
   };
 
-  LinkState& link_for(NodeId remote, double now_s);
+  LinkState& link_for(NodeId remote);
   void evict_one_link();
 
   NodeId id_;

@@ -26,6 +26,60 @@ std::uint64_t base_wire_bytes(std::size_t num_nodes) noexcept {
 
 }  // namespace
 
+void PositionLane::reshape(int dim, bool has_height) {
+  dim_ = dim;
+  has_height_ = has_height;
+  placed_ = 0;
+  rows_.assign(size() * stride(), 0.0);
+  std::fill(state_.begin(), state_.end(), std::uint8_t{kUnplaced});
+}
+
+void PositionLane::write(std::size_t slot, const SnapshotNode& node) {
+  double* row = rows_.data() + slot * stride();
+  if (!node.placed()) {
+    std::fill(row, row + stride(), 0.0);
+    state_[slot] = kUnplaced;
+    return;
+  }
+  const Coordinate& app = node.app;
+  NC_CHECK_MSG(app.dim() == dim_ && app.has_height() == has_height_,
+               "snapshot mixes coordinate dimensions or height models");
+  // Nearest-k's pruning relies on rtt >= sqrt(acc), i.e. on h >= 0.
+  NC_CHECK_MSG(app.height() >= 0.0, "negative height in a snapshot");
+  for (int c = 0; c < dim_; ++c) row[c] = app.position()[c];
+  row[dim_] = app.height();
+  state_[slot] = node.up != 0 ? kUp : kDown;
+  ++placed_;
+}
+
+void PositionLane::build(const std::vector<SnapshotNode>& nodes) {
+  const auto first =
+      std::find_if(nodes.begin(), nodes.end(),
+                   [](const SnapshotNode& x) { return x.placed(); });
+  dim_ = first == nodes.end() ? 0 : first->app.dim();
+  has_height_ = first != nodes.end() && first->app.has_height();
+  placed_ = 0;
+  state_.resize(nodes.size());
+  rows_.resize(nodes.size() * stride());
+  for (std::size_t i = 0; i < nodes.size(); ++i) write(i, nodes[i]);
+}
+
+void PositionLane::set(std::size_t slot, const SnapshotNode& node) {
+  NC_CHECK_MSG(slot < size(), "lane slot out of range");
+  if (placed(slot)) {
+    write(slot, SnapshotNode{});  // zero the old value
+    --placed_;
+  }
+  if (placed_ == 0) {
+    // With no other slot placed the lane takes this node's model (none when
+    // it is unplaced), so a patched lane equals one built from its nodes.
+    const int dim = node.placed() ? node.app.dim() : 0;
+    const bool height = node.placed() && node.app.has_height();
+    if (dim != dim_ || height != has_height_) reshape(dim, height);
+  }
+  if (node.placed()) write(slot, node);
+}
+
 SnapshotPublisher::SnapshotPublisher()
     : pool_(std::make_shared<BufferPool>()),
       delta_pool_(std::make_shared<DeltaPool>()) {}
@@ -108,6 +162,7 @@ void SnapshotPublisher::publish(double t_s) {
     NC_CHECK_MSG(staging_ != nullptr, "publish() without staging()");
     staging_->version = version;
     staging_->t_s = t_s;
+    staging_->lane.build(staging_->nodes);
     published_base_bytes_ += base_wire_bytes(staging_->nodes.size());
     ++base_publishes_;
     // The deleter captures the POOL, not the publisher: the last holder of a
@@ -240,11 +295,15 @@ const EpochSnapshot* SnapshotView::refresh() {
     local_.version = base->version;
     local_.t_s = base->t_s;
     local_.nodes = base->nodes;  // O(n), reuses the local buffer's capacity
+    local_.lane = base->lane;
     materialized_ = true;
     ++full_rebuilds_;
   }
   for (const auto& d : scratch_) {
-    for (const auto& e : d->entries) local_.nodes[e.slot] = e.node;
+    for (const auto& e : d->entries) {
+      local_.nodes[e.slot] = e.node;
+      local_.lane.set(e.slot, e.node);
+    }
     local_.version = d->version;
     local_.t_s = d->t_s;
   }

@@ -30,6 +30,14 @@
 // version, and published() counts every publish, so delta mode publishes
 // the same dense version sequence full mode would.
 //
+// POSITION LANE: every snapshot also carries a PositionLane, a packed
+// row-per-slot copy of the placed positions, heights and up bits
+// that the query side reads instead of the 112-byte SnapshotNode records
+// (CoordinateService's nearest-k scan, distance and centroid lookups).
+// It is derived, not shipped: publish() builds it once per base on the
+// writer side, a SnapshotView patches it per delta entry and copies it on a
+// full rebuild, so every reader's lane matches its records slot for slot.
+//
 // The hand-off slot is a shared_ptr guarded by a mutex held only for the
 // pointer copy itself (both sides' critical sections are pointer-sized; the
 // O(n) snapshot fill happens strictly outside it), plus a lock-free
@@ -67,6 +75,7 @@
 #pragma once
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -98,19 +107,97 @@ struct SnapshotNode {
   }
 };
 
+/// The packed, slot-indexed positions of one snapshot: the index every
+/// query kind (distance, nearest-k, centroid) reads instead of the 112-byte
+/// SnapshotNode records. Layout, for n slots of dimension d: n rows of
+/// d + 1 doubles (a slot's position components, then its height — zero
+/// without a height model), then one state byte per slot. Unplaced slots
+/// hold zeros. A nearest-k scan walks (d + 1) * 8 + 1 bytes per node
+/// instead of 112, and a point lookup touches one short row per node.
+///
+/// The lane is derived from `nodes`: SnapshotPublisher::publish() builds it
+/// once per base on the writer side, SnapshotView::refresh() patches it per
+/// delta entry. Every placed node must share one dimension and one height
+/// model — a snapshot mixing them fails an NC_CHECK when its lane is built.
+class PositionLane {
+ public:
+  enum State : std::uint8_t { kUnplaced = 0, kDown = 1, kUp = 2 };
+
+  /// Rebuilds the lane from `nodes` (O(n)).
+  void build(const std::vector<SnapshotNode>& nodes);
+  /// Overwrites one slot (O(d)) — the delta-entry patch.
+  void set(std::size_t slot, const SnapshotNode& node);
+
+  [[nodiscard]] std::size_t size() const noexcept { return state_.size(); }
+  /// Dimension of the placed nodes (0 while none is placed).
+  [[nodiscard]] int dim() const noexcept { return dim_; }
+  [[nodiscard]] bool has_height() const noexcept { return has_height_; }
+  /// Doubles per row: the position components, then the height.
+  [[nodiscard]] std::size_t stride() const noexcept {
+    return static_cast<std::size_t>(dim_) + 1;
+  }
+  [[nodiscard]] const double* rows() const noexcept { return rows_.data(); }
+  [[nodiscard]] const double* row(std::size_t slot) const noexcept {
+    return rows_.data() + slot * stride();
+  }
+  [[nodiscard]] const std::uint8_t* states() const noexcept {
+    return state_.data();
+  }
+  [[nodiscard]] bool placed(std::size_t slot) const noexcept {
+    return state_[slot] != kUnplaced;
+  }
+
+  /// Predicted RTT between two placed slots, bit-identical to
+  /// Coordinate::distance_to on their records: Vec::distance_to's order
+  /// (s = 0, then s += d * d per dimension), then sqrt(s) + (h_a + h_b).
+  [[nodiscard]] double distance(std::size_t a, std::size_t b) const noexcept {
+    const double* ra = row(a);
+    const double* rb = row(b);
+    double s = 0.0;
+    for (int c = 0; c < dim_; ++c) {
+      const double d = ra[c] - rb[c];
+      s += d * d;
+    }
+    return std::sqrt(s) + (ra[dim_] + rb[dim_]);
+  }
+
+  [[nodiscard]] std::uint64_t memory_bytes() const noexcept {
+    return rows_.capacity() * sizeof(double) + state_.capacity();
+  }
+
+  [[nodiscard]] friend bool operator==(const PositionLane&,
+                                       const PositionLane&) = default;
+
+ private:
+  /// Re-shapes the rows for a new coordinate model, all slots zeroed.
+  void reshape(int dim, bool has_height);
+  /// Writes one slot's row and state (the model must already fit).
+  void write(std::size_t slot, const SnapshotNode& node);
+
+  int dim_ = 0;
+  bool has_height_ = false;
+  std::size_t placed_ = 0;
+  std::vector<double> rows_;
+  std::vector<std::uint8_t> state_;
+};
+
 /// An immutable epoch-boundary view of the whole deployment. `version` is
 /// dense and strictly increasing per publisher; `t_s` is the simulation
-/// time of the boundary the snapshot was taken at.
+/// time of the boundary the snapshot was taken at. `lane` is the packed
+/// index derived from `nodes` (see PositionLane); it counts in
+/// memory_bytes() but not in the wire bytes — a receiver rebuilds it.
 struct EpochSnapshot {
   std::uint64_t version = 0;
   double t_s = 0.0;
   std::vector<SnapshotNode> nodes;
+  PositionLane lane;
 
   [[nodiscard]] int num_nodes() const noexcept {
     return static_cast<int>(nodes.size());
   }
   [[nodiscard]] std::uint64_t memory_bytes() const noexcept {
-    return sizeof(EpochSnapshot) + nodes.capacity() * sizeof(SnapshotNode);
+    return sizeof(EpochSnapshot) + nodes.capacity() * sizeof(SnapshotNode) +
+           lane.memory_bytes();
   }
 };
 
@@ -180,7 +267,8 @@ class SnapshotPublisher {
   /// call only when next_is_base().
   [[nodiscard]] EpochSnapshot& staging(int num_nodes);
 
-  /// Stamps version/t_s on the staged buffer and makes it the latest
+  /// Stamps version/t_s on the staged buffer, builds its PositionLane from
+  /// the staged nodes (O(n), writer side) and makes it the latest
   /// snapshot. Full mode: staging() must have been called since the last
   /// publish. Delta mode: consumes the dirty lanes into a pooled
   /// SnapshotDelta, appends it to the retained chain (pruned to reach back
@@ -291,11 +379,11 @@ class SnapshotPublisher {
 /// A reader's reconstruction of the latest published view (delta mode's
 /// read path; transparent pointer pass-through in full mode). refresh()
 /// applies every delta published since the last call onto a reader-local
-/// materialized copy — O(changed slots) per call, one pointer-sized locked
-/// section, never blocking the engine — falling back to one O(n) base copy
-/// when the reader is more than one base behind (or brand new). NOT
-/// internally synchronized: one view per reader thread, matching
-/// CoordinateService's thread contract.
+/// materialized copy (records and lane) — O(changed slots) per call, one
+/// pointer-sized locked section, never blocking the engine — falling back
+/// to one O(n) base copy when the reader is more than one base behind (or
+/// brand new). NOT internally synchronized: one view per reader thread,
+/// matching CoordinateService's thread contract.
 class SnapshotView {
  public:
   SnapshotView() = default;

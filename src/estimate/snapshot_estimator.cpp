@@ -20,15 +20,15 @@ std::optional<double> SnapshotEstimator::estimate_rtt(NodeId a, NodeId b,
   ++queries_;
   if (a >= 0 && b >= 0) {
     if (const EpochSnapshot* snap = view_.refresh()) {
+      // Read from the packed lane, not the records: the nearest-k scans
+      // keep the lane cache-warm, and this lookup then stays warm with it.
+      const PositionLane& lane = snap->lane;
       const auto ia = static_cast<std::size_t>(a);
       const auto ib = static_cast<std::size_t>(b);
-      if (ia < snap->nodes.size() && ib < snap->nodes.size()) {
-        const SnapshotNode& na = snap->nodes[ia];
-        const SnapshotNode& nb = snap->nodes[ib];
-        if (na.placed() && nb.placed()) {
-          ++direct_hits_;
-          return na.app.distance_to(nb.app);
-        }
+      if (ia < lane.size() && ib < lane.size() && lane.placed(ia) &&
+          lane.placed(ib)) {
+        ++direct_hits_;
+        return lane.distance(ia, ib);
       }
     }
   }

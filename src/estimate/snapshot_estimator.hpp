@@ -5,11 +5,12 @@
 // SnapshotPublisher — refreshed once per query, which is a cached-version
 // no-op between publishes, a pointer copy in full mode, and an O(changed
 // slots) delta apply in delta mode — and answers estimate_rtt(a, b) with
-// the coordinate distance between the two published entries. That decouples
-// readers from engine internals completely: each estimator instance queries
-// from its own thread at any time, and what it sees is a consistent
-// epoch-boundary view (a's and b's coordinates from the SAME epoch, never a
-// torn mix). Like the view it wraps, an estimator instance is NOT
+// the coordinate distance between the two published entries, read from the
+// snapshot's packed PositionLane (bit-identical to distance_to on the
+// records). That decouples readers from engine internals completely: each
+// estimator instance queries from its own thread at any time, and what it
+// sees is a consistent epoch-boundary view (a's and b's coordinates from
+// the SAME epoch, never a torn mix). Like the view it wraps, an estimator instance is NOT
 // internally synchronized — one instance per reader thread (exactly how the
 // engine's per-shard and the service's per-thread instances are deployed).
 //

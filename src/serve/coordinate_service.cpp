@@ -1,6 +1,10 @@
 #include "serve/coordinate_service.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -33,6 +37,52 @@ std::optional<double> CoordinateService::distance_ms(NodeId a, NodeId b) {
   return d;
 }
 
+namespace {
+
+/// Squared distances from slot `o` to every slot of `lane` (rows of D
+/// position components and a height). Per slot this is Vec::distance_to's
+/// order: s = 0, then s += d * d per dimension — the first term is
+/// assigned, since 0 + d * d is exactly d * d. D is a constant, so the
+/// walk over each row unrolls.
+template <int D>
+void squared_distances(const est::PositionLane& lane, std::size_t o,
+                       double* acc) {
+  std::array<double, D> x;
+  std::copy_n(lane.row(o), D, x.begin());
+  const double* rows = lane.rows();
+  for (std::size_t j = 0; j < lane.size(); ++j) {
+    const double* p = rows + j * (D + 1);
+    const double d0 = x[0] - p[0];
+    double s = d0 * d0;
+    for (int c = 1; c < D; ++c) {
+      const double d = x[c] - p[c];
+      s += d * d;
+    }
+    acc[j] = s;
+  }
+}
+
+using SquaredDistances = void (*)(const est::PositionLane&, std::size_t,
+                                  double*);
+static_assert(kMaxDim == 8, "one squared_distances instance per dimension");
+constexpr std::array<SquaredDistances, kMaxDim + 1> kSquaredDistances = {
+    nullptr,
+    &squared_distances<1>, &squared_distances<2>, &squared_distances<3>,
+    &squared_distances<4>, &squared_distances<5>, &squared_distances<6>,
+    &squared_distances<7>, &squared_distances<8>};
+
+/// A bound B on squared distances such that acc >= B implies
+/// sqrt(acc) >= rtt: sqrt is correctly rounded, hence monotone, so
+/// sqrt(B) >= rtt suffices. rtt * rtt is at most an ulp or two short of it.
+double squared_bound(double rtt) {
+  double b = rtt * rtt;
+  while (std::sqrt(b) < rtt)
+    b = std::nextafter(b, std::numeric_limits<double>::infinity());
+  return b;
+}
+
+}  // namespace
+
 void CoordinateService::nearest_k(NodeId origin, int k,
                                   std::vector<Neighbor>& out,
                                   bool include_down) {
@@ -47,30 +97,74 @@ void CoordinateService::nearest_k(NodeId origin, int k,
     if (!snap) ++stats_.empty_answers;
     return;
   }
-  const auto& nodes = snap->nodes;
+  const est::PositionLane& lane = snap->lane;
+  const std::size_t n = lane.size();
   const auto o = static_cast<std::size_t>(origin);
-  if (o >= nodes.size() || !nodes[o].placed()) {
+  if (o >= n || !lane.placed(o)) {
     ++stats_.empty_answers;
     return;
   }
-  const Coordinate& from = nodes[o].app;
-  scratch_.clear();
-  for (std::size_t id = 0; id < nodes.size(); ++id) {
-    if (id == o || !nodes[id].placed()) continue;
-    if (!include_down && nodes[id].up == 0) continue;
-    scratch_.push_back(
-        {static_cast<NodeId>(id), from.distance_to(nodes[id].app)});
-  }
+
+  // Pass 1: squared distances to every slot.
+  dist2_.resize(n);
+  const double* acc = dist2_.data();
+  kSquaredDistances[static_cast<std::size_t>(lane.dim())](lane, o,
+                                                          dist2_.data());
+
+  // Pass 2: exact bounded top-k by (rtt, id) in a max-heap whose top is
+  // the k-th best. Slots arrive in ascending id, so a candidate that only
+  // ties the k-th best loses; a candidate is skipped without its sqrt when
+  // its squared distance or its height sum alone already reach the k-th
+  // best RTT (rtt = sqrt(acc) + (h_from + h_j) is at least either).
+  const int dim = lane.dim();
+  const auto height = [&](std::size_t i) { return lane.row(i)[dim]; };
+  const double h_from = height(o);
+  const std::uint8_t* state = lane.states();
+  const std::uint8_t min_state =
+      include_down ? est::PositionLane::kDown : est::PositionLane::kUp;
   const auto closer = [](const Neighbor& x, const Neighbor& y) {
     return x.rtt_ms != y.rtt_ms ? x.rtt_ms < y.rtt_ms : x.id < y.id;
   };
-  const std::size_t take =
-      std::min(scratch_.size(), static_cast<std::size_t>(k));
-  std::partial_sort(scratch_.begin(),
-                    scratch_.begin() + static_cast<std::ptrdiff_t>(take),
-                    scratch_.end(), closer);
-  out.assign(scratch_.begin(),
-             scratch_.begin() + static_cast<std::ptrdiff_t>(take));
+  const auto kk = static_cast<std::size_t>(k);
+  best_.clear();
+  std::size_t j = 0;
+  for (; j < n && best_.size() < kk; ++j) {
+    if (state[j] < min_state || j == o) continue;
+    best_.push_back(
+        {static_cast<NodeId>(j), std::sqrt(acc[j]) + (h_from + height(j))});
+  }
+  std::make_heap(best_.begin(), best_.end(), closer);
+  if (best_.size() == kk && j < n) {
+    double worst = best_.front().rtt_ms;
+    double bound = squared_bound(worst);
+    const auto offer = [&](std::size_t i) {
+      if (acc[i] >= bound || state[i] < min_state || i == o) return;
+      const double hsum = h_from + height(i);
+      if (hsum >= worst) return;
+      const Neighbor cand{static_cast<NodeId>(i), std::sqrt(acc[i]) + hsum};
+      if (!closer(cand, best_.front())) return;
+      std::pop_heap(best_.begin(), best_.end(), closer);
+      best_.back() = cand;
+      std::push_heap(best_.begin(), best_.end(), closer);
+      worst = best_.front().rtt_ms;
+      bound = squared_bound(worst);
+    };
+    // Once the heap has settled, most slots are already out by their
+    // squared distance: test a block of them at once and offer only the
+    // ones under the bound (the bound only falls, so none is missed).
+    constexpr std::size_t kBlock = 8;
+    for (; j < n && j % kBlock != 0; ++j) offer(j);
+    for (; j + kBlock <= n; j += kBlock) {
+      unsigned below = 0;
+      for (std::size_t i = 0; i < kBlock; ++i)
+        below |= static_cast<unsigned>(acc[j + i] < bound) << i;
+      for (; below != 0; below &= below - 1)
+        offer(j + static_cast<std::size_t>(std::countr_zero(below)));
+    }
+    for (; j < n; ++j) offer(j);
+  }
+  std::sort_heap(best_.begin(), best_.end(), closer);
+  out.assign(best_.begin(), best_.end());
   if (out.empty()) ++stats_.empty_answers;
 }
 
@@ -83,19 +177,20 @@ std::optional<Coordinate> CoordinateService::centroid(
     ++stats_.empty_answers;
     return std::nullopt;
   }
-  std::optional<Vec> sum;
-  bool with_height = false;
+  // Summed from the lane in the order Coordinate::as_vec embeds a node
+  // (position, then height): the first member is copied, the rest added.
+  const est::PositionLane& lane = snap->lane;
+  const int dim = lane.dim();
+  std::array<double, kMaxDim + 1> sum{};
   int placed = 0;
   for (const NodeId id : ids) {
     NC_CHECK_MSG(id >= 0 && id < num_nodes_, "centroid id out of range");
     const auto i = static_cast<std::size_t>(id);
-    if (i >= snap->nodes.size() || !snap->nodes[i].placed()) continue;
-    const Vec v = snap->nodes[i].app.as_vec();
-    if (sum.has_value()) {
-      *sum += v;
-    } else {
-      sum = v;
-      with_height = snap->nodes[i].app.has_height();
+    if (i >= lane.size() || !lane.placed(i)) continue;
+    const double* row = lane.row(i);
+    for (int c = 0; c <= dim; ++c) {
+      auto& s = sum[static_cast<std::size_t>(c)];
+      s = placed == 0 ? row[c] : s + row[c];
     }
     ++placed;
   }
@@ -103,7 +198,12 @@ std::optional<Coordinate> CoordinateService::centroid(
     ++stats_.empty_answers;
     return std::nullopt;
   }
-  return Coordinate::from_vec(*sum / static_cast<double>(placed), with_height);
+  // Vec's division: a multiply by the reciprocal.
+  const double r = 1.0 / static_cast<double>(placed);
+  Vec pos(dim);
+  for (int c = 0; c < dim; ++c) pos[c] = sum[static_cast<std::size_t>(c)] * r;
+  if (!lane.has_height()) return Coordinate(pos);
+  return Coordinate(pos, std::max(0.0, sum[static_cast<std::size_t>(dim)] * r));
 }
 
 }  // namespace nc::serve

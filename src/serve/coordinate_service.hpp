@@ -10,8 +10,14 @@
 // Distance queries go through the existing LatencyEstimator interface (an
 // owned SnapshotEstimator), so a service answer and an engine-side
 // --backend=snapshot score are the same computation; nearest-k and centroid
-// scan the snapshot directly (they need the whole frozen view, which is
-// exactly what a snapshot is).
+// read the whole frozen view directly. All three kinds read the snapshot's
+// packed PositionLane (estimate/snapshot.hpp), not its SnapshotNode
+// records: nearest-k is a two-pass kernel — squared distances to every
+// slot, then an exact bounded top-k that skips the sqrt of every slot
+// that cannot enter the best k — and distance and centroid lookups stay
+// cache-warm on the lane the scans keep streaming. Every answer is
+// bit-identical to computing on the records (Coordinate::distance_to,
+// Vec sums): the per-node operation order is kept.
 //
 // Thread contract: a CoordinateService instance is NOT internally
 // synchronized — it keeps per-instance query counters and a materialized
@@ -73,7 +79,8 @@ class CoordinateService {
   /// ascending predicted RTT (ties by id), excluding origin itself. Nodes
   /// marked down are skipped unless `include_down`. Empty when origin is
   /// not yet placed (or nothing is published). `out` is overwritten —
-  /// callers reuse it across queries to stay allocation-free.
+  /// callers reuse it across queries to stay allocation-free. Any k works;
+  /// the scan costs O(n) plus O(log k) per slot that enters the best k.
   void nearest_k(NodeId origin, int k, std::vector<Neighbor>& out,
                  bool include_down = false);
 
@@ -98,8 +105,10 @@ class CoordinateService {
 
   int num_nodes_;
   est::SnapshotEstimator estimator_;
-  /// Scratch for nearest_k's candidate scan, reused across queries.
-  std::vector<Neighbor> scratch_;
+  /// nearest_k's buffers, reused across queries: squared distances per
+  /// slot, and the best-k max-heap.
+  std::vector<double> dist2_;
+  std::vector<Neighbor> best_;
   ServiceStats stats_;
   std::uint64_t last_version_ = 0;
 };

@@ -1,15 +1,19 @@
 // CoordinateService (serve/coordinate_service.hpp) over a hand-fed
 // publisher: nearest-k against brute force, distance through the estimator
-// seam, centroid, the down-node filter, and version tracking.
+// seam, centroid, the down-node filter, and version tracking — plus a
+// randomised identity check of all three query kinds against a reference
+// that reads the SnapshotNode records directly.
 #include "serve/coordinate_service.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/vec.hpp"
 #include "estimate/snapshot.hpp"
 
@@ -121,6 +125,142 @@ TEST(CoordinateService, TracksNewVersionsAcrossQueries) {
   publish_line(pub, 3.0);
   ASSERT_TRUE(service.distance_ms(0, 1).has_value());
   EXPECT_EQ(service.snapshot_version(), 3u);
+}
+
+// --- randomised identity against a record-reading reference ---
+
+/// Nearest-k the straightforward way: Coordinate::distance_to on every
+/// eligible record, then partial_sort by (rtt, id).
+std::vector<CoordinateService::Neighbor> reference_nearest(
+    const std::vector<est::SnapshotNode>& nodes, NodeId origin, int k,
+    bool include_down) {
+  std::vector<CoordinateService::Neighbor> all;
+  const auto o = static_cast<std::size_t>(origin);
+  if (!nodes[o].placed() || k == 0) return all;
+  for (std::size_t id = 0; id < nodes.size(); ++id) {
+    if (id == o || !nodes[id].placed()) continue;
+    if (!include_down && nodes[id].up == 0) continue;
+    all.push_back({static_cast<NodeId>(id),
+                   nodes[o].app.distance_to(nodes[id].app)});
+  }
+  const std::size_t take = std::min(all.size(), static_cast<std::size_t>(k));
+  const auto closer = [](const auto& x, const auto& y) {
+    return x.rtt_ms != y.rtt_ms ? x.rtt_ms < y.rtt_ms : x.id < y.id;
+  };
+  std::partial_sort(all.begin(),
+                    all.begin() + static_cast<std::ptrdiff_t>(take), all.end(),
+                    closer);
+  all.resize(take);
+  return all;
+}
+
+/// Centroid the straightforward way: as_vec() sums divided by the count.
+/// Eight dimensions plus a height do not fit as_vec's embedding; there the
+/// same sums are taken per component.
+std::optional<Coordinate> reference_centroid(
+    const std::vector<est::SnapshotNode>& nodes,
+    const std::vector<NodeId>& ids) {
+  std::vector<const Coordinate*> members;
+  for (const NodeId id : ids)
+    if (nodes[static_cast<std::size_t>(id)].placed())
+      members.push_back(&nodes[static_cast<std::size_t>(id)].app);
+  if (members.empty()) return std::nullopt;
+  const bool height = members.front()->has_height();
+  const double count = static_cast<double>(members.size());
+  if (members.front()->dim() + (height ? 1 : 0) <= kMaxDim) {
+    Vec sum = members.front()->as_vec();
+    for (std::size_t m = 1; m < members.size(); ++m)
+      sum += members[m]->as_vec();
+    return Coordinate::from_vec(sum / count, height);
+  }
+  Vec pos = members.front()->position();
+  double h = members.front()->height();
+  for (std::size_t m = 1; m < members.size(); ++m) {
+    pos += members[m]->position();
+    h += members[m]->height();
+  }
+  return Coordinate(pos / count, std::max(0.0, h * (1.0 / count)));
+}
+
+/// A random snapshot: about a tenth of the slots unplaced and a fifth down.
+/// `grid` draws small integer coordinates and heights, so many distances
+/// tie exactly.
+std::vector<est::SnapshotNode> random_nodes(Rng& rng, int n, int dim,
+                                            bool height, bool grid) {
+  std::vector<est::SnapshotNode> nodes(static_cast<std::size_t>(n));
+  const auto draw = [&](double lo, double hi) {
+    return grid ? static_cast<double>(rng.uniform_int(4))
+                : rng.uniform(lo, hi);
+  };
+  for (auto& node : nodes) {
+    if (rng.bernoulli(0.1)) continue;  // unplaced
+    Vec v(dim);
+    for (int c = 0; c < dim; ++c) v[c] = draw(-150.0, 150.0);
+    node.app = height ? Coordinate(v, draw(0.0, 20.0)) : Coordinate(v);
+    node.error = rng.uniform();
+    node.confidence = 1.0 - node.error;
+    node.up = rng.bernoulli(0.2) ? 0 : 1;
+  }
+  return nodes;
+}
+
+NodeId pick(Rng& rng, int n) {
+  return static_cast<NodeId>(rng.uniform_int(static_cast<std::uint64_t>(n)));
+}
+
+TEST(CoordinateService, RandomisedAnswersMatchRecordReference) {
+  Rng rng(20260419);
+  std::vector<CoordinateService::Neighbor> out;
+  for (int dim = 1; dim <= kMaxDim; ++dim) {
+    for (const bool height : {false, true}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        const bool grid = trial % 2 == 1;
+        const int n = trial < 2 ? 3 + pick(rng, 10) : 150 + pick(rng, 100);
+        const std::vector<est::SnapshotNode> nodes =
+            random_nodes(rng, n, dim, height, grid);
+        est::SnapshotPublisher pub;
+        pub.staging(n).nodes = nodes;
+        pub.publish(1.0);
+        CoordinateService service(&pub, n);
+        SCOPED_TRACE(::testing::Message() << "dim " << dim << " height "
+                                          << height << " trial " << trial);
+
+        for (int q = 0; q < 40; ++q) {
+          const NodeId a = pick(rng, n);
+          const bool include_down = rng.bernoulli(0.5);
+          for (const int k : {0, 5, n + 3, 1 + pick(rng, n)}) {
+            service.nearest_k(a, k, out, include_down);
+            const auto want = reference_nearest(nodes, a, k, include_down);
+            ASSERT_EQ(out.size(), want.size()) << "origin " << a << " k " << k;
+            for (std::size_t i = 0; i < want.size(); ++i) {
+              EXPECT_EQ(out[i].id, want[i].id) << "rank " << i;
+              EXPECT_EQ(out[i].rtt_ms, want[i].rtt_ms) << "rank " << i;
+            }
+          }
+
+          const NodeId b = pick(rng, n);
+          const std::optional<double> d = service.distance_ms(a, b);
+          const est::SnapshotNode& na = nodes[static_cast<std::size_t>(a)];
+          const est::SnapshotNode& nb = nodes[static_cast<std::size_t>(b)];
+          if (na.placed() && nb.placed()) {
+            ASSERT_TRUE(d.has_value());
+            EXPECT_EQ(*d, na.app.distance_to(nb.app));
+          } else {
+            EXPECT_FALSE(d.has_value());
+          }
+
+          std::vector<NodeId> group(rng.uniform_int(8));
+          for (NodeId& id : group) id = pick(rng, n);
+          const std::optional<Coordinate> c = service.centroid(group);
+          const auto want = reference_centroid(nodes, group);
+          ASSERT_EQ(c.has_value(), want.has_value());
+          if (c.has_value()) {
+            EXPECT_TRUE(*c == *want) << *c << " vs " << *want;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
